@@ -28,6 +28,8 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "orbit_diagram",
+    "LyapunovSpan",
+    "lyapunov_span",
     "LyapunovSpectrum",
     "lyapunov_spectrum",
     "KaplanYorke",
@@ -280,6 +282,35 @@ def _default_seed(pv: ModelParams, amplitude: float) -> History:
 # ---------------------------------------------------------------------------
 # Lyapunov spectrum
 
+@dataclass(frozen=True)
+class LyapunovSpan:
+    """Time grid of a Lyapunov run: the transient (at least one delay), the
+    re-orthonormalisation interval snapped to whole steps of tau/n_mesh, the
+    warm-up and averaging interval counts, and the time ``t_end`` the base
+    solution must reach."""
+
+    transient: float
+    interval: float
+    n_warm: int
+    n_acc: int
+    t_end: float
+
+
+def lyapunov_span(p: ModelParams, horizon: float, reorth: float = 1.0, *,
+                  transient: float = 2000.0, bundle_warmup: float = 200.0,
+                  n_mesh: int = 128) -> LyapunovSpan:
+    """The span ``lyapunov_spectrum`` covers with the same settings."""
+    if horizon < 100 * reorth:
+        raise ValueError("horizon must cover at least 100 reorth intervals")
+    transient = max(transient, p.tau)
+    h = p.tau / n_mesh
+    interval = max(1, int(round(reorth / h))) * h
+    n_acc = int(math.ceil(horizon / interval))
+    n_warm = int(math.ceil(bundle_warmup / interval)) if bundle_warmup > 0 else 0
+    t_end = transient + (n_warm + n_acc) * interval + h
+    return LyapunovSpan(transient, interval, n_warm, n_acc, t_end)
+
+
 @dataclass
 class LyapunovSpectrum:
     """Ordered Lyapunov exponent estimates with their convergence record.
@@ -323,24 +354,18 @@ def lyapunov_spectrum(p: ModelParams, history: History, m: int = 8,
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if horizon < 100 * reorth:
-        raise ValueError("horizon must cover at least 100 reorth intervals")
-    tau = p.tau
-    transient = max(transient, tau)
-    h = tau / n_mesh
-    steps_per = max(1, int(round(reorth / h)))
-    interval = steps_per * h
-    n_acc = int(math.ceil(horizon / interval))
-    n_warm = int(math.ceil(bundle_warmup / interval)) if bundle_warmup > 0 else 0
-    t_total = transient + (n_warm + n_acc) * interval + h
+    grid = lyapunov_span(p, horizon, reorth, transient=transient,
+                         bundle_warmup=bundle_warmup, n_mesh=n_mesh)
+    interval, n_warm, n_acc = grid.interval, grid.n_warm, grid.n_acc
     if base is not None:
-        if base.params != p or base.t_end < t_total - 1e-9:
+        if base.params != p or base.t_end < grid.t_end - 1e-9:
             raise ValueError("supplied base trajectory does not cover the run")
         traj = base
     else:
-        traj = integrate(p, history, t_total, rtol=rtol, atol=atol)
+        traj = integrate(p, history, grid.t_end, rtol=rtol, atol=atol)
 
-    bundle = PerturbationBundle.seeded(tau, m, n_mesh, seed, t_head=transient)
+    bundle = PerturbationBundle.seeded(p.tau, m, n_mesh, seed,
+                                       t_head=grid.transient)
     logs = np.zeros(m)
     times = np.empty(n_acc)
     hist = np.empty((n_acc, m))
@@ -369,7 +394,8 @@ def lyapunov_spectrum(p: ModelParams, history: History, m: int = 8,
         drifts=tuple(float(x) for x in drifts[order]),
         unconverged=tuple(bool(x) for x in flags[order]),
         settings={"m": m, "n_mesh": n_mesh, "reorth": interval,
-                  "transient": transient, "bundle_warmup": n_warm * interval,
+                  "transient": grid.transient,
+                  "bundle_warmup": n_warm * interval,
                   "seed": seed, "rtol": rtol, "atol": atol},
     )
 

@@ -565,7 +565,7 @@ def critical_delays(p: ModelParams, n_scan: int = 10_000) -> CriticalDelays:
 
 
 def _tau2(p: ModelParams) -> float | None:
-    if p.s == 1.0 or p.gamma == 0.0:
+    if p.s == 1.0:
         return None
     arg = 0.5 * (1.0 + p.kappa * p.s / (p.f * (p.s - 1.0)))
     if arg >= 1.0:
@@ -625,6 +625,26 @@ def hopf_locus_1p(p: ModelParams, vary: str, lo: float, hi: float,
 # ---------------------------------------------------------------------------
 # Lambert-W branch coalescence landmarks
 
+def _hprime_dip(p: ModelParams):
+    """Shared set-up of the coalescence landmarks: the Lambert-W argument
+    x0 = -exp(-1 - kappa*tau)/A, h', and the minimum (q_m, h'(q_m)) of h'
+    on the tail beyond its peak q_h.  None when s <= 1 (h' never decreases)
+    or x0 <= -1/e (no real branch)."""
+    if p.s <= 1.0:
+        return None
+    x0 = -math.exp(-1.0 - p.kappa * p.tau) / p.amplification
+    if x0 <= -_INV_E:
+        return None
+    q_h = p.theta * math.exp(-math.log(p.s - 1.0) / p.s)
+
+    def hp(q):
+        return h_and_G(q, p).h_prime
+
+    res = minimize_scalar(hp, bounds=(q_h * (1 + 1e-10), q_h * 100.0),
+                          method="bounded", options={"xatol": 1e-13})
+    return x0, hp, q_h, res.x, res.fun
+
+
 def lambertw_coalescence(p: ModelParams) -> tuple[float | None, float | None]:
     """The interval of reference concentrations around Q* on which the
     characteristic equation has no real roots.
@@ -634,24 +654,11 @@ def lambertw_coalescence(p: ModelParams) -> tuple[float | None, float | None]:
     real roots coalesce.  Returns (None, None) when the regime is absent
     (s <= 1, no decreasing part of h, or the deep target is unreachable).
     """
-    if p.s <= 1.0:
+    dip = _hprime_dip(p)
+    if dip is None:
         return None, None
-    A = p.amplification
-    x0 = -math.exp(-1.0 - p.kappa * p.tau) / A
-    if x0 <= -_INV_E:
-        return None, None
-    u0 = lambert_w(0, x0)
-    um1 = lambert_w(-1, x0)
-    q_h = p.theta * math.exp(-math.log(p.s - 1.0) / p.s)
-
-    def hp(q):
-        return h_and_G(q, p).h_prime
-
-    # minimum of h' on the decreasing-then-recovering tail beyond q_h
-    res = minimize_scalar(hp, bounds=(q_h * (1 + 1e-10), q_h * 100.0),
-                          method="bounded", options={"xatol": 1e-13})
-    q_m, hp_min = res.x, res.fun
-    t0, tm1 = u0 / p.tau, um1 / p.tau
+    x0, hp, q_h, q_m, hp_min = dip
+    t0, tm1 = lambert_w(0, x0) / p.tau, lambert_w(-1, x0) / p.tau
     if hp_min >= t0:
         return None, None  # h' never reaches the shallow target
     q_lo = brentq(lambda q: hp(q) - t0, q_h * (1 + 1e-12), q_m, xtol=1e-15)
@@ -672,21 +679,11 @@ def real_root_rebound(p: ModelParams) -> float | None:
     """Upper concentration bound of the two-real-root window beyond the
     coalescence gap: where h'(Q)*tau re-crosses W_{-1} on the recovering
     side and the pair of (positive) real roots vanishes again."""
-    if p.s <= 1.0:
+    dip = _hprime_dip(p)
+    if dip is None:
         return None
-    A = p.amplification
-    x0 = -math.exp(-1.0 - p.kappa * p.tau) / A
-    if x0 <= -_INV_E:
-        return None
+    x0, hp, _, q_m, hp_min = dip
     tm1 = lambert_w(-1, x0) / p.tau
-    q_h = p.theta * math.exp(-math.log(p.s - 1.0) / p.s)
-
-    def hp(q):
-        return h_and_G(q, p).h_prime
-
-    res = minimize_scalar(hp, bounds=(q_h * (1 + 1e-10), q_h * 100.0),
-                          method="bounded", options={"xatol": 1e-13})
-    q_m, hp_min = res.x, res.fun
     if hp_min >= tm1:
         return None
     q_right = q_m

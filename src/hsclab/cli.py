@@ -22,8 +22,8 @@ import warnings
 import numpy as np
 
 from . import __version__, chareq, export, presets, slowman
-from .analysis import (kaplan_yorke, lyapunov_spectrum, orbit_diagram,
-                       poincare_section, delay_embedding)
+from .analysis import (kaplan_yorke, lyapunov_span, lyapunov_spectrum,
+                       orbit_diagram, poincare_section, delay_embedding)
 from .chareq import IncompleteRootCoverageWarning
 from .integrator import (History, StepSizeUnderflow, detect_events,
                          history_from_trajectory, integrate)
@@ -275,6 +275,8 @@ def _cmd_embed(cfg, p, run):
     traj = _run_simulation(cfg, p, "embed")
     lags = _get(cfg, "embed.lags", list, default=[p.tau])
     sampling = _get(cfg, "embed.sampling", float, default=p.tau / 32.0)
+    if sampling <= 0:
+        raise ConfigError("embed.sampling", "must be positive")
     t_start = _get(cfg, "embed.t_start", float, default=0.0)
     ts, pts = delay_embedding(traj, lags, sampling, t_start=t_start)
     header = ["t", "Q"] + [f"Q_lag_{i + 1}" for i in range(len(lags))]
@@ -359,6 +361,8 @@ def _cmd_sweep(cfg, p, run):
 
 def _cmd_lyapunov(cfg, p, run):
     m = _get(cfg, "lyapunov.m", int, default=8)
+    if m < 1:
+        raise ConfigError("lyapunov.m", "need m >= 1")
     horizon = _get(cfg, "lyapunov.horizon", float, default=30000.0)
     reorth = _get(cfg, "lyapunov.reorth", float, default=1.0)
     transient = _get(cfg, "lyapunov.transient", float, default=2000.0)
@@ -371,12 +375,9 @@ def _cmd_lyapunov(cfg, p, run):
     atol = _get(cfg, "lyapunov.atol", float, default=1e-12)
     hist = resolve_history(p, _get(cfg, "lyapunov.history", dict))
     # integrate the base once so an optional Poincare export can reuse it
-    h_var = p.tau / n_mesh
-    interval = max(1, round(reorth / h_var)) * h_var
-    n_int = (math.ceil(warmup / interval) if warmup > 0 else 0) \
-        + math.ceil(horizon / interval)
-    base = integrate(p, hist, max(transient, p.tau) + n_int * interval + h_var,
-                     rtol=rtol, atol=atol)
+    span = lyapunov_span(p, horizon, reorth, transient=transient,
+                         bundle_warmup=warmup, n_mesh=n_mesh)
+    base = integrate(p, hist, span.t_end, rtol=rtol, atol=atol)
     spec = lyapunov_spectrum(p, hist, m=m, horizon=horizon, reorth=reorth,
                              transient=transient, bundle_warmup=warmup,
                              n_mesh=n_mesh, seed=seed, rtol=rtol, atol=atol,
@@ -471,48 +472,12 @@ def _error_json(kind: str, message: str, key: str | None = None) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-_PLOT_SNIPPETS = {
-    "trajectory.csv": "ax.plot(d['t'], d['Q'], lw=0.7); ax.set(xlabel='t [days]', ylabel='Q')",
-    "orbit.csv": ("for dr, m in (('increasing', '.'), ('decreasing', 'x')):\n"
-                  "    s = d[d['direction'] == dr]\n"
-                  "    ax.plot(s['param'], s['Q'], m, ms=1, label=dr)\n"
-                  "ax.legend(); ax.set(xlabel='parameter', ylabel='Q extrema')"),
-    "poincare.csv": "ax.plot(d['proj_x'], d['proj_y'], '.', ms=2); ax.set(xlabel='Q(t-tau)', ylabel='Q(t-tau/2)')",
-    "c0.csv": "ax.plot(d['a_tau'], d['b_tau']); ax.set(xlabel='a*tau', ylabel='b*tau')",
-    "slowman.csv": "ax.plot(d['Q_r'], d['Q_tau'], '.', ms=2); ax.set(xlabel='Q', ylabel='Q_tau')",
-    "nullcline.csv": "ax.plot(d['Q_now'], d['Q_delayed'], '.', ms=2); ax.set(xlabel='Q', ylabel='Q_tau')",
-    "embedding.csv": "ax.plot(d['Q'], d['Q_lag_1'], lw=0.4); ax.set(xlabel='Q(t)', ylabel='Q(t-lag)')",
-    "lyapunov.csv": ("for c in d.columns[1:]:\n"
-                     "    ax.plot(d['t'], d[c], lw=0.8, label=c)\n"
-                     "ax.legend(); ax.set(xlabel='t [days]', ylabel='running estimate')"),
-}
-
-
-def _write_plot_script(run: _Run) -> None:
-    plotted = [f for f in list(run.files)
-               if f.split("_", 1)[-1] in _PLOT_SNIPPETS]
-    if not plotted:
-        return
-    lines = ["# auto-generated plotting helper; needs matplotlib + pandas",
-             "import pandas as pd", "import matplotlib.pyplot as plt", ""]
-    for fname in plotted:
-        snippet = _PLOT_SNIPPETS[fname.split("_", 1)[-1]]
-        lines += [f"d = pd.read_csv({fname!r})",
-                  "fig, ax = plt.subplots()", snippet,
-                  f"ax.set_title({fname!r})", ""]
-    lines.append("plt.show()")
-    with open(run.path("plot.py"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _execute(command: str, cfg: dict, run: _Run, preset_name: str | None,
-             plot_script: bool = False) -> int:
+def _execute(command: str, cfg: dict, run: _Run,
+             preset_name: str | None) -> int:
     started = time.time()
     _validate_top_level(cfg)
     p = resolve_params(cfg)
     summary, code = _HANDLERS[command](cfg, p, run)
-    if plot_script:
-        _write_plot_script(run)
     manifest = {
         "command": command,
         "preset": preset_name,
@@ -579,8 +544,7 @@ def main(argv=None) -> int:
         prefix = args.out or _get(cfg, "output.prefix", str,
                                   default=preset_name or command)
         run = _Run(outdir, prefix)
-        return _execute(command, cfg, run, preset_name,
-                        plot_script=bool(getattr(args, "plot_script", False)))
+        return _execute(command, cfg, run, preset_name)
     except KeyError as exc:
         print(_error_json("config", str(exc)), file=sys.stderr)
         return EXIT_CONFIG
@@ -606,8 +570,6 @@ def _common_args(sp):
     sp.add_argument("--out", help="output file prefix")
     sp.add_argument("--outdir", help="output directory "
                                      "(or $HSCLAB_OUTDIR, default '.')")
-    sp.add_argument("--plot-script", action="store_true",
-                    help="also write a matplotlib helper for the data files")
 
 
 if __name__ == "__main__":

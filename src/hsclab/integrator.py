@@ -10,8 +10,8 @@ delay, so k*tau (k = 1..6) are forced step boundaries, after which the
 solution is smooth enough for the pair's order.
 
 Trajectories store one power-basis quartic per accepted step and evaluate
-anywhere in [-tau, t_end].  Event detection (extrema, level crossings) works
-on the dense polynomials and refines every event time by bisection.
+anywhere in [-tau, t_end].  Event detection (extrema, level crossings) roots
+the dense polynomials themselves, all candidate segments in one batch.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .model import ModelParams, steady_state
 
@@ -392,111 +391,125 @@ def integrate(p: ModelParams, history: History, t_end: float, *,
 _DEGENERATE_CURVATURE = 1e-12
 
 
-def _real_unit_roots(c: np.ndarray) -> list[float]:
-    """Real roots of a low-degree polynomial (coeffs low->high) in [0, 1)."""
-    c = np.trim_zeros(np.asarray(c, float), "b")
-    if c.size <= 1:
-        return []
-    roots = npoly.polyroots(c)
-    out = []
-    for r in roots:
-        if abs(r.imag) > 1e-9:
+def _unit_roots(polys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots in [0, 1) of stacked polynomials in theta.
+
+    ``polys`` is (k, d+1) with coefficients low->high; trailing zero
+    coefficients lower a row's degree.  Rows of one effective degree are
+    rooted together as eigenvalues of their companion matrices, and every
+    kept root is polished by two Newton steps on its own polynomial, each
+    taken only where it lowers the residual.
+    Returns (row, theta) arrays ordered by row, then theta.
+    """
+    nonzero = polys != 0.0
+    degree = np.where(nonzero.any(axis=1),
+                      polys.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    rows, roots = [np.empty(0, int)], [np.empty(0)]
+    for d in range(1, polys.shape[1]):
+        sel = np.nonzero(degree == d)[0]
+        if sel.size == 0:
             continue
-        x = r.real
-        if -1e-12 <= x < 1.0:
-            out.append(min(max(x, 0.0), 1.0 - 1e-16))
-    return sorted(out)
+        c = polys[sel, :d + 1]
+        # companion matrices as numpy's polyroots builds them
+        comp = np.zeros((sel.size, d, d))
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        comp[:, :, -1] -= c[:, :-1] / c[:, -1:]
+        r = np.linalg.eigvals(comp[:, ::-1, ::-1]).ravel()
+        keep = (np.abs(r.imag) <= 1e-9) & (r.real >= -1e-12) & (r.real < 1.0)
+        rows.append(np.repeat(sel, d)[keep])
+        roots.append(r.real[keep])
+    row = np.concatenate(rows)
+    th = np.clip(np.concatenate(roots), 0.0, 1.0 - 1e-16)
+    c = polys[row].T
+    dc = c[1:] * np.arange(1.0, c.shape[0])[:, None]
+    val = npoly.polyval(th, c, tensor=False)
+    for _ in range(2):
+        slope = npoly.polyval(th, dc, tensor=False)
+        step = np.divide(val, slope, out=np.zeros_like(th), where=slope != 0.0)
+        th_new = np.clip(th - step, 0.0, 1.0 - 1e-16)
+        val_new = npoly.polyval(th_new, c, tensor=False)
+        # at a double root the step divides roundoff by a vanishing slope
+        better = np.abs(val_new) < np.abs(val)
+        th = np.where(better, th_new, th)
+        val = np.where(better, val_new, val)
+    order = np.lexsort((th, row))
+    return row[order], th[order]
+
+
+def _candidate_roots(traj: Trajectory, i0: int, cand: np.ndarray,
+                     polys: np.ndarray, t_start: float, t_end: float):
+    """Segment index, theta and time of the roots of the candidate rows of
+    ``polys`` (segments i0 + j) that fall in the window."""
+    j = np.nonzero(cand)[0]
+    row, th = _unit_roots(polys[j])
+    seg = i0 + j[row]
+    te = traj.knots[seg] + th * traj.widths[seg]
+    inside = (te >= t_start - 1e-12) & (te <= t_end + 1e-12)
+    return seg[inside], th[inside], te[inside]
 
 
 def find_extrema(traj: Trajectory, t_start: float = 0.0,
                  t_end: float | None = None) -> list[Event]:
-    """Local maxima/minima of the solution, located where Q' = 0 with a
-    second-derivative sign test and refined by bisection to ~1e-10 in time.
+    """Local maxima/minima of the solution, located where Q' = 0 on each
+    segment's derivative cubic, with a second-derivative sign test.
     Events with |Q''| below 1e-12 are flagged degenerate."""
     if t_end is None:
         t_end = traj.t_end
     i0, i1 = traj.segment_range(t_start, t_end)
     C = traj.coeffs
-    events: list[Event] = []
-    d1 = C[i0:i1, 1]
-    d2 = 2.0 * C[i0:i1, 2]
-    d3 = 3.0 * C[i0:i1, 3]
-    d4 = 4.0 * C[i0:i1, 4]
+    D = C[i0:i1, 1:] * np.array([1.0, 2.0, 3.0, 4.0])  # w * Q' in theta
+    d1, d2, d3, d4 = D.T
     # a flat segment (constant solution to roundoff) has no genuine extrema
     flat = (np.abs(d1) + np.abs(d2) + np.abs(d3) + np.abs(d4)
             < 1e-13 * np.maximum(1.0, np.abs(C[i0:i1, 0])))
     cand = (np.abs(d1) <= np.abs(d2) + np.abs(d3) + np.abs(d4)) & ~flat
-    for j in np.nonzero(cand)[0]:
-        i = i0 + j
-        w = traj.widths[i]
-        t0 = traj.knots[i]
-        for th in _real_unit_roots([d1[j], d2[j], d3[j], d4[j]]):
-            te = t0 + th * w
-            if not (t_start - 1e-12 <= te <= t_end + 1e-12):
-                continue
-            te = _refine_root(lambda x: traj.derivative(x), te,
-                              max(t0, t_start), min(t0 + w, t_end))
-            ypp = (d2[j] + th * (2.0 * d3[j] + 3.0 * th * d4[j])) / (w * w)
-            if abs(ypp) < _DEGENERATE_CURVATURE:
-                events.append(Event(te, "max" if traj(te) >= traj(t0) else "min",
-                                    traj(te), direction="degenerate"))
-            else:
-                events.append(Event(te, "max" if ypp < 0 else "min", traj(te)))
+    seg, th, te = _candidate_roots(traj, i0, cand, D, t_start, t_end)
+    _, e2, e3, e4 = D[seg - i0].T
+    w = traj.widths[seg]
+    ypp = (e2 + th * (2.0 * e3 + 3.0 * th * e4)) / (w * w)
+    values = traj(te)
+    rising = values >= traj(traj.knots[seg])
+    events = []
+    for t, v, q, up in zip(te.tolist(), values.tolist(), ypp.tolist(),
+                           rising.tolist()):
+        if abs(q) < _DEGENERATE_CURVATURE:
+            events.append(Event(t, "max" if up else "min", v,
+                                direction="degenerate"))
+        else:
+            events.append(Event(t, "max" if q < 0 else "min", v))
     return _dedupe(events)
 
 
 def find_level_crossings(traj: Trajectory, level: float,
                          direction: str = "both", t_start: float = 0.0,
                          t_end: float | None = None) -> list[Event]:
-    """Times where Q(t) crosses the given level, with crossing direction
-    from the sign of Q'.  Tangential touches are reported as degenerate."""
+    """Times where Q(t) crosses the given level, located on each segment's
+    shifted quartic, with crossing direction from the sign of Q'.
+    Tangential touches are reported as degenerate."""
     if direction not in ("up", "down", "both"):
         raise ValueError("direction must be 'up', 'down' or 'both'")
     if t_end is None:
         t_end = traj.t_end
     i0, i1 = traj.segment_range(t_start, t_end)
-    C = traj.coeffs
-    a0 = C[i0:i1, 0] - level
-    spread = np.abs(C[i0:i1, 1:]).sum(axis=1)
+    P = traj.coeffs[i0:i1].copy()
+    P[:, 0] -= level
+    spread = np.abs(P[:, 1:]).sum(axis=1)
     # running exactly along the level is not a crossing
-    moving = spread >= 1e-13 * np.maximum(1.0, np.abs(C[i0:i1, 0]))
-    cand = (np.abs(a0) <= spread) & moving
-    events: list[Event] = []
-    for j in np.nonzero(cand)[0]:
-        i = i0 + j
-        w = traj.widths[i]
-        t0 = traj.knots[i]
-        poly = [a0[j], C[i, 1], C[i, 2], C[i, 3], C[i, 4]]
-        for th in _real_unit_roots(poly):
-            te = t0 + th * w
-            if not (t_start - 1e-12 <= te <= t_end + 1e-12):
-                continue
-            te = _refine_root(lambda x: traj(x) - level, te,
-                              max(t0, t_start), min(t0 + w, t_end))
-            slope = traj.derivative(te)
-            if abs(slope) < 1e-10 * max(1.0, abs(level)):
-                d = "degenerate"
-            else:
-                d = "up" if slope > 0 else "down"
-            if direction != "both" and d != direction:
-                continue
-            events.append(Event(te, "level", traj(te), level=level, direction=d))
+    moving = spread >= 1e-13 * np.maximum(1.0, np.abs(traj.coeffs[i0:i1, 0]))
+    cand = (np.abs(P[:, 0]) <= spread) & moving
+    seg, th, te = _candidate_roots(traj, i0, cand, P, t_start, t_end)
+    slopes = traj.derivative(te)
+    values = traj(te)
+    events = []
+    for t, v, slope in zip(te.tolist(), values.tolist(), slopes.tolist()):
+        if abs(slope) < 1e-10 * max(1.0, abs(level)):
+            d = "degenerate"
+        else:
+            d = "up" if slope > 0 else "down"
+        if direction != "both" and d != direction:
+            continue
+        events.append(Event(t, "level", v, level=level, direction=d))
     return _dedupe(events)
-
-
-def _refine_root(fn, t_guess: float, lo: float, hi: float) -> float:
-    eps = 1e-7 * max(1.0, abs(t_guess))
-    a = max(lo, t_guess - eps)
-    b = min(hi, t_guess + eps)
-    if a < b:
-        fa, fb = fn(a), fn(b)
-        if fa == 0.0:
-            return a
-        if fb == 0.0:
-            return b
-        if (fa < 0) != (fb < 0):
-            return brentq(fn, a, b, xtol=1e-10)
-    return t_guess
 
 
 def _dedupe(events: list[Event]) -> list[Event]:

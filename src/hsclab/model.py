@@ -187,15 +187,10 @@ def existence_bounds(p: ModelParams) -> tuple[float, float]:
     """Upper bounds (kappa_max, tau_max) for the nontrivial state to exist.
 
     kappa_max = f*(A-1) at the given gamma, tau; tau_max solves
-    gamma*tau = ln(2f/(kappa+f)) at the given kappa (infinite when gamma=0,
-    where the bound never binds).
+    gamma*tau = ln(2f/(kappa+f)) at the given kappa.
     """
-    A = p.amplification
-    kappa_max = p.f * (A - 1.0)
-    if p.gamma == 0.0:
-        tau_max = math.inf
-    else:
-        tau_max = math.log(2.0 * p.f / (p.kappa + p.f)) / p.gamma
+    kappa_max = p.f * (p.amplification - 1.0)
+    tau_max = math.log(2.0 * p.f / (p.kappa + p.f)) / p.gamma
     return kappa_max, tau_max
 
 

@@ -49,6 +49,18 @@ class TestConfigValidation:
     def test_missing_config_and_preset(self, tmp_path, capsys):
         assert main(["steady", "--outdir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command, section, key", [
+        ("embed", {"t_end": 10.0, "sampling": 0.0}, "embed.sampling"),
+        ("lyapunov", {"m": 0, "horizon": 400.0}, "lyapunov.m"),
+    ])
+    def test_nonpositive_setting_is_config_error(self, tmp_path, capsys,
+                                                 command, section, key):
+        cfg = dict(TABLE1_CFG, **{command: section})
+        assert run_cli(tmp_path, command, cfg) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config"
+        assert err["error"]["key"] == key
+
     def test_set_override(self, tmp_path):
         code = run_cli(tmp_path, "steady", dict(TABLE1_CFG),
                        "--set", "set_params.kappa=4.2", "--out", "ov")

@@ -1,10 +1,13 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
+from scipy.optimize import brentq
 
-from hsclab.integrator import (History, StepSizeUnderflow, detect_events,
-                               find_extrema, find_level_crossings,
-                               history_from_trajectory, integrate)
+from hsclab.integrator import (Event, History, StepSizeUnderflow, Trajectory,
+                               _dedupe, detect_events, find_extrema,
+                               find_level_crossings, history_from_trajectory,
+                               integrate)
 from hsclab.model import steady_state, table1_params
 from conftest import random_valid_params
 
@@ -190,6 +193,150 @@ class TestEvents:
         assert evs == sorted(evs, key=lambda e: e.t)
         assert {e.kind for e in evs} == {"max", "min", "level"}
         assert orbit_traj.events == evs
+
+
+# ---------------------------------------------------------------------------
+# oracle: per-candidate polyroots refined by brentq on scalar evaluations,
+# the event search the batched root finder replaced
+
+
+def _scalar_unit_roots(c):
+    c = np.trim_zeros(np.asarray(c, float), "b")
+    if c.size <= 1:
+        return []
+    out = [min(max(r.real, 0.0), 1.0 - 1e-16) for r in npoly.polyroots(c)
+           if abs(r.imag) <= 1e-9 and -1e-12 <= r.real < 1.0]
+    return sorted(out)
+
+
+def _scalar_refine(fn, t_guess, lo, hi):
+    eps = 1e-7 * max(1.0, abs(t_guess))
+    a, b = max(lo, t_guess - eps), min(hi, t_guess + eps)
+    if a < b:
+        fa, fb = fn(a), fn(b)
+        if fa == 0.0:
+            return a
+        if fb == 0.0:
+            return b
+        if (fa < 0) != (fb < 0):
+            return brentq(fn, a, b, xtol=1e-10)
+    return t_guess
+
+
+def _scalar_extrema(traj, t_start=0.0, t_end=None):
+    t_end = traj.t_end if t_end is None else t_end
+    i0, i1 = traj.segment_range(t_start, t_end)
+    C = traj.coeffs
+    d1, d2, d3, d4 = (k * C[i0:i1, k] for k in (1, 2, 3, 4))
+    flat = (np.abs(d1) + np.abs(d2) + np.abs(d3) + np.abs(d4)
+            < 1e-13 * np.maximum(1.0, np.abs(C[i0:i1, 0])))
+    cand = (np.abs(d1) <= np.abs(d2) + np.abs(d3) + np.abs(d4)) & ~flat
+    events = []
+    for j in np.nonzero(cand)[0]:
+        i = i0 + j
+        w, t0 = traj.widths[i], traj.knots[i]
+        for th in _scalar_unit_roots([d1[j], d2[j], d3[j], d4[j]]):
+            te = t0 + th * w
+            if not (t_start - 1e-12 <= te <= t_end + 1e-12):
+                continue
+            te = _scalar_refine(traj.derivative, te, max(t0, t_start),
+                                min(t0 + w, t_end))
+            ypp = (d2[j] + th * (2.0 * d3[j] + 3.0 * th * d4[j])) / (w * w)
+            if abs(ypp) < 1e-12:
+                events.append(Event(te, "max" if traj(te) >= traj(t0) else "min",
+                                    traj(te), direction="degenerate"))
+            else:
+                events.append(Event(te, "max" if ypp < 0 else "min", traj(te)))
+    return _dedupe(events)
+
+
+def _scalar_level_crossings(traj, level, t_start=0.0, t_end=None):
+    t_end = traj.t_end if t_end is None else t_end
+    i0, i1 = traj.segment_range(t_start, t_end)
+    C = traj.coeffs
+    a0 = C[i0:i1, 0] - level
+    spread = np.abs(C[i0:i1, 1:]).sum(axis=1)
+    moving = spread >= 1e-13 * np.maximum(1.0, np.abs(C[i0:i1, 0]))
+    events = []
+    for j in np.nonzero((np.abs(a0) <= spread) & moving)[0]:
+        i = i0 + j
+        w, t0 = traj.widths[i], traj.knots[i]
+        for th in _scalar_unit_roots([a0[j], *C[i, 1:]]):
+            te = t0 + th * w
+            if not (t_start - 1e-12 <= te <= t_end + 1e-12):
+                continue
+            te = _scalar_refine(lambda x: traj(x) - level, te,
+                                max(t0, t_start), min(t0 + w, t_end))
+            slope = traj.derivative(te)
+            if abs(slope) < 1e-10 * max(1.0, abs(level)):
+                d = "degenerate"
+            else:
+                d = "up" if slope > 0 else "down"
+            events.append(Event(te, "level", traj(te), level=level, direction=d))
+    return _dedupe(events)
+
+
+def _assert_same_events(got, want):
+    assert [(e.kind, e.direction) for e in got] == \
+        [(e.kind, e.direction) for e in want]
+    if want:
+        assert np.max(np.abs([a.t - b.t for a, b in zip(got, want)])) <= 1e-10
+        assert np.max(np.abs([a.value - b.value
+                              for a, b in zip(got, want)])) <= 1e-10
+
+
+def _fig15(mode):
+    p = table1_params().with_(kappa=0.68, gamma=0.0354608, tau=9.88888)
+    return integrate(p, History.steady_state_perturbation(p, 0.05, mode), 1500.0)
+
+
+def _hand_built():
+    """Three unit segments: a cubic (zero leading coefficient) with a
+    maximum at theta = 1/3, an inflection with Q' = Q'' = 0 at theta = 1/2,
+    and a parabola touching Q = 1.5 at theta = 1/2."""
+    p = table1_params()
+    coeffs = np.array([[1.0, 0.3, -0.5, 0.1, 0.0],
+                       [1.0, 0.75, -1.5, 1.0, 0.0],
+                       [1.75, -1.0, 1.0, 0.0, 0.0]])
+    return Trajectory(p, History.constant(p.tau, 1.0),
+                      np.array([0.0, 1.0, 2.0, 3.0]), coeffs, [], {})
+
+
+class TestEventsAgainstScalarOracle:
+    @pytest.mark.parametrize("mode", ["constant", "cosine"])
+    def test_fig15(self, mode):
+        traj = _fig15(mode)
+        _assert_same_events(find_extrema(traj), _scalar_extrema(traj))
+        for level in (0.4, 1.0):
+            _assert_same_events(find_level_crossings(traj, level),
+                                _scalar_level_crossings(traj, level))
+
+    def test_orbit_windows(self, orbit_traj):
+        for lo, hi in ((0.0, 2000.0), (1900.0, 1950.0)):
+            _assert_same_events(find_extrema(orbit_traj, lo, hi),
+                                _scalar_extrema(orbit_traj, lo, hi))
+            _assert_same_events(find_level_crossings(orbit_traj, 0.3, "both", lo, hi),
+                                _scalar_level_crossings(orbit_traj, 0.3, lo, hi))
+
+    def test_flat_steady_state(self, table1):
+        qs = steady_state(table1).nontrivial
+        traj = integrate(table1, History.constant(table1.tau, qs), 300.0)
+        assert _scalar_extrema(traj) == find_extrema(traj) == []
+        assert _scalar_level_crossings(traj, qs) == find_level_crossings(traj, qs) == []
+
+    def test_degree_drop_and_degenerate(self):
+        traj = _hand_built()
+        ext = find_extrema(traj)
+        _assert_same_events(ext, _scalar_extrema(traj))
+        assert [(e.kind, e.direction) for e in ext] == [
+            ("max", ""), ("max", "degenerate"), ("min", "")]
+        assert ext[0].t == pytest.approx(1.0 / 3.0, abs=1e-15)
+        touch = find_level_crossings(traj, 1.5)
+        _assert_same_events(touch, _scalar_level_crossings(traj, 1.5))
+        assert [(e.t, e.direction) for e in touch] == [(2.5, "degenerate")]
+        cross = find_level_crossings(traj, 1.03)
+        _assert_same_events(cross, _scalar_level_crossings(traj, 1.03))
+        assert [e.direction for e in cross] == ["up", "down", "up"]
 
 
 class TestPositivityBoundedness:
