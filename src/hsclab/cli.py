@@ -272,12 +272,12 @@ def _cmd_simulate(cfg, p, run):
 
 
 def _cmd_embed(cfg, p, run):
-    traj = _run_simulation(cfg, p, "embed")
     lags = _get(cfg, "embed.lags", list, default=[p.tau])
     sampling = _get(cfg, "embed.sampling", float, default=p.tau / 32.0)
     if sampling <= 0:
         raise ConfigError("embed.sampling", "must be positive")
     t_start = _get(cfg, "embed.t_start", float, default=0.0)
+    traj = _run_simulation(cfg, p, "embed")
     ts, pts = delay_embedding(traj, lags, sampling, t_start=t_start)
     header = ["t", "Q"] + [f"Q_lag_{i + 1}" for i in range(len(lags))]
     export.write_csv(run.path("embedding.csv"), header,
@@ -339,7 +339,11 @@ def _cmd_sweep(cfg, p, run):
     direction = _get(cfg, "sweep.direction", str, default="both",
                      choices={"up", "down", "both"})
     transient = _get(cfg, "sweep.transient", float, default=50.0)
+    if transient < 0:
+        raise ConfigError("sweep.transient", "must be nonnegative")
     record = _get(cfg, "sweep.record", float, default=6.0)
+    if record <= 0:
+        raise ConfigError("sweep.record", "must be positive")
     mode = _get(cfg, "sweep.record_mode", str, default="last",
                 choices={"last", "all"})
     rtol = _get(cfg, "sweep.rtol", float, default=1e-9)
@@ -365,18 +369,27 @@ def _cmd_lyapunov(cfg, p, run):
         raise ConfigError("lyapunov.m", "need m >= 1")
     horizon = _get(cfg, "lyapunov.horizon", float, default=30000.0)
     reorth = _get(cfg, "lyapunov.reorth", float, default=1.0)
+    if reorth <= 0:
+        raise ConfigError("lyapunov.reorth", "must be positive")
     transient = _get(cfg, "lyapunov.transient", float, default=2000.0)
     warmup = _get(cfg, "lyapunov.bundle_warmup", float, default=200.0)
     n_mesh = _get(cfg, "lyapunov.n_mesh", int, default=128)
+    if n_mesh < 4:
+        raise ConfigError("lyapunov.n_mesh", "need n_mesh >= 4")
     seed = _get(cfg, "lyapunov.seed", int, default=_get(cfg, "seed", int, default=0))
     zero_tol = _get(cfg, "lyapunov.zero_tol", float, default=0.0)
     store_every = _get(cfg, "lyapunov.store_every", int, default=10)
+    if store_every < 1:
+        raise ConfigError("lyapunov.store_every", "need store_every >= 1")
     rtol = _get(cfg, "lyapunov.rtol", float, default=1e-9)
     atol = _get(cfg, "lyapunov.atol", float, default=1e-12)
     hist = resolve_history(p, _get(cfg, "lyapunov.history", dict))
     # integrate the base once so an optional Poincare export can reuse it
-    span = lyapunov_span(p, horizon, reorth, transient=transient,
-                         bundle_warmup=warmup, n_mesh=n_mesh)
+    try:
+        span = lyapunov_span(p, horizon, reorth, transient=transient,
+                             bundle_warmup=warmup, n_mesh=n_mesh)
+    except ValueError as exc:  # the only check left there is the horizon's
+        raise ConfigError("lyapunov.horizon", str(exc)) from exc
     base = integrate(p, hist, span.t_end, rtol=rtol, atol=atol)
     spec = lyapunov_spectrum(p, hist, m=m, horizon=horizon, reorth=reorth,
                              transient=transient, bundle_warmup=warmup,

@@ -10,6 +10,15 @@ m perturbation directions is discretised on a uniform mesh of N+1 points
 spanning one delay and advanced with fixed-step classical RK4 at step
 tau/N; delayed stage values come from each column's own stored past via
 cubic interpolation (midpoint weights are constant on a uniform grid).
+
+Each RK4 step is linear in the head value and in the delayed reads, with
+scalar weights shared by all m columns.  Up to N-1 consecutive steps read
+only values stored before the first of them, so such a chunk is a scalar
+linear recurrence w_{j+1} = g_j*w_j + f_j, solved in closed form with
+cumulative products and sums; it equals the RK4 steps up to rounding (cf.
+Farmer, Physica D 4 (1982) 366, on spectra of a discretised delay
+equation).  Longer spans are solved chunk by chunk.
+
 Periodic QR re-orthonormalisation of the bundle supplies the growth factors
 that Lyapunov estimates average.
 """
@@ -92,10 +101,10 @@ def _coeff_tables(traj: Trajectory, t0: float, h: float, n_steps: int):
     """alpha, beta at the RK4 stage times (half-grid) of n_steps steps."""
     p = traj.params
     times = t0 + 0.5 * h * np.arange(2 * n_steps + 1)
-    q_now = np.maximum(traj(times), 0.0)
-    q_del = np.maximum(traj(times - p.tau), 0.0)
-    alpha = -(p.kappa + h_and_G(q_now, p).h_prime)
-    beta = p.amplification * h_and_G(q_del, p).h_prime
+    q = np.maximum(traj(np.concatenate([times, times - p.tau])), 0.0)
+    h_prime = h_and_G(q, p).h_prime
+    alpha = -(p.kappa + h_prime[: times.size])
+    beta = p.amplification * h_prime[times.size:]
     return alpha, beta
 
 
@@ -125,26 +134,55 @@ def integrate_variational(traj: Trajectory, bundle: PerturbationBundle,
     return out, out.norms()
 
 
-def _advance(traj, columns, t0, h, n_steps, n):
-    alpha, beta = _coeff_tables(traj, t0, h, n_steps)
-    w_buf = np.empty((n + 1 + n_steps, columns.shape[1]))
-    w_buf[: n + 1] = columns
+def _step_weights(alpha, beta, h):
+    """Weights of the RK4 step map w_{j+1} = g*w + u0*wd0 + um*wdm + u1*wd1.
+
+    The stage values k1..k4 are linear in the head value w and the delayed
+    reads wd0, wdm, wd1 with scalar coefficients shared by every column, so
+    each weight is a vector over the steps.
+    """
+    a0, am, a1 = alpha[:-1:2], alpha[1::2], alpha[2::2]
+    b0, bm, b1 = beta[:-1:2], beta[1::2], beta[2::2]
     hh = 0.5 * h
     h6 = h / 6.0
-    for j in range(n_steps):
-        head = n + j
-        w = w_buf[head]
-        wd0 = w_buf[j]
-        wd1 = w_buf[j + 1]
-        if j == 0:
-            wdm = _W_EDGE @ w_buf[0:4]
-        else:
-            wdm = _W_MID @ w_buf[j - 1:j + 3]
-        a0, am, a1 = alpha[2 * j], alpha[2 * j + 1], alpha[2 * j + 2]
-        b0, bm, b1 = beta[2 * j], beta[2 * j + 1], beta[2 * j + 2]
-        k1 = a0 * w + b0 * wd0
-        k2 = am * (w + hh * k1) + bm * wdm
-        k3 = am * (w + hh * k2) + bm * wdm
-        k4 = a1 * (w + h * k3) + b1 * wd1
-        w_buf[head + 1] = w + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+    # k_i = c_i*w + d_i*wd0 + e_i*wdm (+ b1*wd1 in k4);
+    # c1 = a0, d1 = b0, e1 = 0 and e2 = bm
+    c2 = am * (1.0 + hh * a0)
+    c3 = am * (1.0 + hh * c2)
+    c4 = a1 * (1.0 + h * c3)
+    d2 = hh * am * b0
+    d3 = hh * am * d2
+    d4 = h * a1 * d3
+    e3 = bm * (1.0 + hh * am)
+    e4 = h * a1 * e3
+    g = 1.0 + h6 * (a0 + 2.0 * (c2 + c3) + c4)
+    u0 = h6 * (b0 + 2.0 * (d2 + d3) + d4)
+    um = h6 * (2.0 * (bm + e3) + e4)
+    u1 = h6 * b1
+    return g, u0, um, u1
+
+
+def _advance(traj, columns, t0, h, n_steps, n):
+    alpha, beta = _coeff_tables(traj, t0, h, n_steps)
+    g, u0, um, u1 = (x[:, None] for x in _step_weights(alpha, beta, h))
+    w_buf = np.empty((n + 1 + n_steps, columns.shape[1]))
+    w_buf[: n + 1] = columns
+    # steps [s, e) with e - s <= n - 1 read only rows stored before step s,
+    # so their forcing is known and the chunk is a scalar linear recurrence
+    for s in range(0, n_steps, n - 1):
+        e = min(s + n - 1, n_steps)
+        lo = max(s, 1)
+        wdm = np.empty((e - s, columns.shape[1]))
+        wdm[lo - s:] = (_W_MID[0] * w_buf[lo - 1:e - 1]
+                        + _W_MID[1] * w_buf[lo:e]
+                        + _W_MID[2] * w_buf[lo + 1:e + 1]
+                        + _W_MID[3] * w_buf[lo + 2:e + 2])
+        if s == 0:
+            wdm[0] = _W_EDGE @ w_buf[0:4]
+        f = (u0[s:e] * w_buf[s:e] + um[s:e] * wdm
+             + u1[s:e] * w_buf[s + 1:e + 1])
+        # with P_k = g_s*...*g_{k-1}:  w_k = P_k*(w_s + sum_{i<k} f_i/P_{i+1})
+        prod = np.cumprod(g[s:e], axis=0)
+        w_buf[n + s + 1:n + e + 1] = prod * (w_buf[n + s]
+                                             + np.cumsum(f / prod, axis=0))
     return w_buf[n_steps:].copy()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hsclab import presets
+from hsclab import cli, presets
 from hsclab.cli import main
 from conftest import assert_printed
 
@@ -52,9 +52,28 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command, section, key", [
         ("embed", {"t_end": 10.0, "sampling": 0.0}, "embed.sampling"),
         ("lyapunov", {"m": 0, "horizon": 400.0}, "lyapunov.m"),
+        ("lyapunov", {"horizon": 50.0}, "lyapunov.horizon"),
+        ("lyapunov", {"horizon": 400.0, "n_mesh": 3}, "lyapunov.n_mesh"),
+        ("lyapunov", {"horizon": 400.0, "n_mesh": 0}, "lyapunov.n_mesh"),
+        ("lyapunov", {"horizon": 400.0, "store_every": 0},
+         "lyapunov.store_every"),
+        ("lyapunov", {"horizon": 400.0, "reorth": 0.0}, "lyapunov.reorth"),
+        ("lyapunov", {"horizon": 400.0, "reorth": -1.0}, "lyapunov.reorth"),
+        ("sweep", {"vary": "tau", "start": 1.0, "stop": 2.0, "n": 3,
+                   "transient": -5.0, "record": 3.0}, "sweep.transient"),
+        ("sweep", {"vary": "tau", "start": 1.0, "stop": 2.0, "n": 3,
+                   "transient": -2.0, "record": 6.0}, "sweep.transient"),
+        ("sweep", {"vary": "tau", "start": 1.0, "stop": 2.0, "n": 3,
+                   "record": 0.0}, "sweep.record"),
     ])
     def test_nonpositive_setting_is_config_error(self, tmp_path, capsys,
-                                                 command, section, key):
+                                                 monkeypatch, command, section,
+                                                 key):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated before the config was checked")
+
+        for name in ("integrate", "orbit_diagram", "lyapunov_spectrum"):
+            monkeypatch.setattr(cli, name, refuse)
         cfg = dict(TABLE1_CFG, **{command: section})
         assert run_cli(tmp_path, command, cfg) == 2
         err = json.loads(capsys.readouterr().err)

@@ -4,8 +4,9 @@ import pytest
 from hsclab import chareq
 from hsclab.analysis import lyapunov_spectrum
 from hsclab.integrator import History, integrate
-from hsclab.model import steady_state
-from hsclab.variational import (PerturbationBundle, integrate_variational,
+from hsclab.model import h_and_G, steady_state
+from hsclab.variational import (_W_EDGE, _W_MID, PerturbationBundle,
+                                _coeff_tables, integrate_variational,
                                 orthonormalize)
 
 
@@ -13,6 +14,38 @@ from hsclab.variational import (PerturbationBundle, integrate_variational,
 def steady_traj(table1):
     qs = steady_state(table1).nontrivial
     return integrate(table1, History.constant(table1.tau, qs), 600.0)
+
+
+@pytest.fixture(scope="module")
+def chaos_traj(table1):
+    p = table1.with_(kappa=0.865, tau=3.9)
+    return integrate(p, History.steady_state_perturbation(p, 0.05), 600.0)
+
+
+def _advance(traj, columns, t0, h, n_steps, n):
+    """Reference: one classical RK4 step at a time (the oracle)."""
+    alpha, beta = _coeff_tables(traj, t0, h, n_steps)
+    w_buf = np.empty((n + 1 + n_steps, columns.shape[1]))
+    w_buf[: n + 1] = columns
+    hh = 0.5 * h
+    h6 = h / 6.0
+    for j in range(n_steps):
+        head = n + j
+        w = w_buf[head]
+        wd0 = w_buf[j]
+        wd1 = w_buf[j + 1]
+        if j == 0:
+            wdm = _W_EDGE @ w_buf[0:4]
+        else:
+            wdm = _W_MID @ w_buf[j - 1:j + 3]
+        a0, am, a1 = alpha[2 * j], alpha[2 * j + 1], alpha[2 * j + 2]
+        b0, bm, b1 = beta[2 * j], beta[2 * j + 1], beta[2 * j + 2]
+        k1 = a0 * w + b0 * wd0
+        k2 = am * (w + hh * k1) + bm * wdm
+        k3 = am * (w + hh * k2) + bm * wdm
+        k4 = a1 * (w + h * k3) + b1 * wd1
+        w_buf[head + 1] = w + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+    return w_buf[n_steps:].copy()
 
 
 class TestBundle:
@@ -71,6 +104,47 @@ class TestEvolution:
         b, _ = integrate_variational(steady_traj, b, (b.t_head, b.t_head + 400.0))
         rate = np.log(b.norms()[0]) / 400.0
         assert rate == pytest.approx(rightmost.re, abs=2e-5)
+
+
+class TestRecurrenceAgainstLoop:
+    """The chunked linear recurrence reproduces the step-by-step RK4 loop."""
+
+    @pytest.mark.parametrize("base", ["chaos_traj", "steady_traj"])
+    @pytest.mark.parametrize("n_mesh, n_steps", [
+        (128, 1),
+        (128, 33),            # one reorth interval at tau = 3.9
+        (128, 127),           # exactly one chunk
+        (128, 128),           # one step into the second chunk
+        (128, 3 * 128 + 5),   # several chunk boundaries
+        (4, 1),
+        (4, 3),
+        (4, 4),
+        (4, 3 * 4 + 5),
+    ])
+    def test_matches_rk4_loop(self, request, base, n_mesh, n_steps):
+        traj = request.getfixturevalue(base)
+        tau = traj.params.tau
+        t0 = 300.0
+        b = PerturbationBundle.seeded(tau, 5, n_mesh=n_mesh, seed=2, t_head=t0)
+        ref = _advance(traj, b.columns, t0, b.step, n_steps, n_mesh)
+        out, _ = integrate_variational(traj, b, (t0, t0 + n_steps * b.step))
+        assert out.columns.shape == ref.shape
+        scale = np.max(np.abs(ref), axis=0)
+        assert np.all(np.max(np.abs(out.columns - ref), axis=0) <= 1e-13 * scale)
+
+
+    def test_tables_match_separate_calls(self, chaos_traj):
+        # one fused evaluation of now and delayed times is elementwise, so it
+        # must give the same bits as evaluating each set on its own
+        p = chaos_traj.params
+        h = p.tau / 128
+        alpha, beta = _coeff_tables(chaos_traj, 300.0, h, 33)
+        times = 300.0 + 0.5 * h * np.arange(67)
+        q_now = np.maximum(chaos_traj(times), 0.0)
+        q_del = np.maximum(chaos_traj(times - p.tau), 0.0)
+        assert np.array_equal(alpha, -(p.kappa + h_and_G(q_now, p).h_prime))
+        assert np.array_equal(beta,
+                              p.amplification * h_and_G(q_del, p).h_prime)
 
 
 class TestLyapunovSmall:
