@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, steady_state
+from .model import ModelParams
 from .integrator import (History, Trajectory, StepSizeUnderflow, integrate,
                          find_extrema, find_level_crossings,
                          history_from_trajectory)
@@ -198,9 +198,8 @@ class SweepResult:
 
 def orbit_diagram(p: ModelParams, vary: str, mesh, *,
                   transient: float = 50.0, record: float = 6.0,
-                  record_mode: str = "last", history: History | None = None,
-                  rtol: float = 1e-9, atol: float = 1e-12,
-                  perturb_amplitude: float = 0.05) -> SweepResult:
+                  record_mode: str = "last", rtol: float = 1e-9,
+                  atol: float = 1e-12) -> SweepResult:
     """Asymptotic extrema of the solution along a parameter mesh.
 
     Per mesh point the equation is integrated through ``transient`` delay
@@ -208,8 +207,9 @@ def orbit_diagram(p: ModelParams, vary: str, mesh, *,
     either just the last maximum and minimum ("last") or all of them
     ("all").  The final delay interval of each solution seeds the next mesh
     point, which is what exposes hysteresis between opposite sweep
-    directions; an integration failure flags the point and the sweep
-    continues from a fresh perturbed-steady-state seed.
+    directions.  The first point starts from ``History.default``; an
+    integration failure flags the point and the sweep continues from a
+    fresh default seed.
 
     On a flat tail (no extrema in the window) the end value is recorded
     under both kinds, which is the steady-state reading.
@@ -224,18 +224,13 @@ def orbit_diagram(p: ModelParams, vary: str, mesh, *,
 
     points: list[SweepPoint] = []
     prev: Trajectory | None = None
-    first_history = history
     for v in mesh:
         pv = p.with_(**{vary: v})
         if prev is not None:
             cur_hist = history_from_trajectory(prev, prev.t_end, pv.tau)
             seed_note = "carry"
-        elif first_history is not None:
-            cur_hist = first_history
-            first_history = None
-            seed_note = "initial"
         else:
-            cur_hist = _default_seed(pv, perturb_amplitude)
+            cur_hist = History.default(pv)
             seed_note = "initial" if not points else "fresh"
         t_total = (transient + record) * pv.tau
         try:
@@ -248,21 +243,13 @@ def orbit_diagram(p: ModelParams, vary: str, mesh, *,
         rec_lo = t_total - record * pv.tau
         evs = [e for e in find_extrema(traj, rec_lo, t_total)
                if e.direction != "degenerate"]
-        if record_mode == "last":
-            picked = []
-            for kind in ("max", "min"):
-                ofkind = [e for e in evs if e.kind == kind]
-                if ofkind:
-                    picked.append((kind, float(ofkind[-1].value)))
-            if not picked:
-                q_end = float(traj(t_total))
-                picked = [("max", q_end), ("min", q_end)]
-            extrema = tuple(picked)
-        else:
-            extrema = tuple((e.kind, float(e.value)) for e in evs)
-            if not extrema:
-                q_end = float(traj(t_total))
-                extrema = (("max", q_end), ("min", q_end))
+        if record_mode == "last":  # the last maximum, then the last minimum
+            last = {e.kind: e for e in evs}
+            evs = [last[kind] for kind in ("max", "min") if kind in last]
+        extrema = tuple((e.kind, float(e.value)) for e in evs)
+        if not extrema:
+            q_end = float(traj(t_total))
+            extrema = (("max", q_end), ("min", q_end))
         points.append(SweepPoint(param=float(v), extrema=extrema, seed=seed_note))
         prev = traj
     return SweepResult(vary=vary, direction=direction, mesh=mesh,
@@ -270,13 +257,6 @@ def orbit_diagram(p: ModelParams, vary: str, mesh, *,
                        settings={"transient": transient, "record": record,
                                  "record_mode": record_mode, "rtol": rtol,
                                  "atol": atol})
-
-
-def _default_seed(pv: ModelParams, amplitude: float) -> History:
-    qs = steady_state(pv).nontrivial
-    if qs is None:
-        return History.constant(pv.tau, pv.theta)
-    return History.steady_state_perturbation(pv, amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +280,8 @@ def lyapunov_span(p: ModelParams, horizon: float, reorth: float = 1.0, *,
                   transient: float = 2000.0, bundle_warmup: float = 200.0,
                   n_mesh: int = 128) -> LyapunovSpan:
     """The span ``lyapunov_spectrum`` covers with the same settings."""
+    if n_mesh < 4 or reorth <= 0:
+        raise ValueError("need n_mesh >= 4 and reorth > 0")
     if horizon < 100 * reorth:
         raise ValueError("horizon must cover at least 100 reorth intervals")
     transient = max(transient, p.tau)

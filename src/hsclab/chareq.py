@@ -485,6 +485,10 @@ def stability_region(c: LinearizationCoeffs, n_c0: int = 257) -> StabilityAssess
 # ---------------------------------------------------------------------------
 # critical delays and Hopf loci
 
+_TAU_SCAN = 10_000     # grid points of the delay scan in critical_delays
+_HOPF_RE_TOL = 1e-9   # |Re| that ends the bisection of a Hopf point
+
+
 @dataclass(frozen=True)
 class CriticalDelays:
     """Delay landmarks as the delay is varied with other parameters held.
@@ -501,9 +505,6 @@ class CriticalDelays:
     tau1_plus: float | None
     tau2: float | None
     tau_max: float
-
-    def all_present(self) -> bool:
-        return None not in (self.tau1_minus, self.tau1_plus, self.tau2)
 
 
 def _coeffs_at_delay(p: ModelParams, tau: float) -> LinearizationCoeffs | None:
@@ -525,7 +526,7 @@ def _tau1_gap(p: ModelParams, tau: float) -> float:
     return tau - math.acos(-a / b) / math.sqrt(b * b - a * a)
 
 
-def critical_delays(p: ModelParams, n_scan: int = 10_000) -> CriticalDelays:
+def critical_delays(p: ModelParams) -> CriticalDelays:
     """Delay landmarks for the given parameter set (tau itself is scanned).
 
     The implicit equation tau = tau1(a(tau), b(tau)) is scanned on a uniform
@@ -542,7 +543,7 @@ def critical_delays(p: ModelParams, n_scan: int = 10_000) -> CriticalDelays:
         return CriticalDelays(t1m, None, _tau2(p), tau_max)
 
     lo = tau_max * 1e-9
-    grid = np.linspace(lo, tau_max * (1.0 - 1e-12), n_scan)
+    grid = np.linspace(lo, tau_max * (1.0 - 1e-12), _TAU_SCAN)
     vals = np.array([_tau1_gap(p, t) for t in grid])
     crossings = []
     for i in range(len(grid) - 1):
@@ -574,7 +575,7 @@ def _tau2(p: ModelParams) -> float | None:
 
 
 def hopf_locus_1p(p: ModelParams, vary: str, lo: float, hi: float,
-                  n_scan: int = 400, re_tol: float = 1e-9) -> list[tuple[float, float]]:
+                  n_scan: int = 400) -> list[tuple[float, float]]:
     """Parameter values in [lo, hi] where the steady state's rightmost
     characteristic value crosses the imaginary axis as a conjugate pair,
     each located by bisection on its real part.
@@ -611,7 +612,7 @@ def hopf_locus_1p(p: ModelParams, vary: str, lo: float, hi: float,
             root = dominant(mid)
             if root is None:
                 break
-            if abs(root.re) < re_tol or abs(b_ - a_) < 4e-16 * max(1.0, abs(mid)):
+            if abs(root.re) < _HOPF_RE_TOL or abs(b_ - a_) < 4e-16 * max(1.0, abs(mid)):
                 break
             if (root.re < 0.0) == sa:
                 a_ = mid

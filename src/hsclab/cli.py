@@ -4,7 +4,9 @@ data exports.
 One JSON config document drives every command; flags override config keys
 via dotted paths (``--set lyapunov.horizon=30000``).  Each run writes its
 documented CSV/JSON data files plus a run-manifest JSON holding the fully
-resolved configuration and version stamps.  Exit codes: 0 success, 2 config
+resolved configuration and version stamps.  Every setting has one row in a
+table of type, default and range, and each command checks its sections
+against it before computing anything.  Exit codes: 0 success, 2 config
 error, 3 numerical failure, 4 unconverged result (data still written).
 """
 
@@ -25,8 +27,8 @@ from . import __version__, chareq, export, presets, slowman
 from .analysis import (kaplan_yorke, lyapunov_span, lyapunov_spectrum,
                        orbit_diagram, poincare_section, delay_embedding)
 from .chareq import IncompleteRootCoverageWarning
-from .integrator import (History, StepSizeUnderflow, detect_events,
-                         history_from_trajectory, integrate)
+from .integrator import (History, detect_events, history_from_trajectory,
+                         integrate)
 from .model import (ModelParams, derive_homeostasis, existence_bounds,
                     params_from_dict, params_to_dict, spec_from_dict,
                     steady_state)
@@ -36,12 +38,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_UNCONVERGED = 4
 
-_COMMANDS = ("steady", "stability", "roots", "hopf", "simulate", "embed",
-             "poincare", "sweep", "lyapunov", "slowman")
-
-_TOP_KEYS = {"params", "homeostasis", "set_params", "seed", "output",
-             *_COMMANDS}
-
 
 class ConfigError(ValueError):
     def __init__(self, key: str, message: str):
@@ -49,73 +45,207 @@ class ConfigError(ValueError):
         self.key = key
 
 
-def _get(cfg: dict, path: str, kind, default=None, required=False,
-         choices=None):
-    node = cfg
-    parts = path.split(".")
-    for i, part in enumerate(parts):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(path, "missing required key")
-            return default
-        node = node[part]
-    if kind is float and isinstance(node, (int, float)) and not isinstance(node, bool):
+# ---------------------------------------------------------------------------
+# settings: one table row per key, ``key: (kind, default[, (test, message)])``.
+# A kind is a type, ``[kind]`` for a list of it, a table for an object, a
+# tuple of alternatives told apart by the JSON type of the value, or a reader
+# function.  A callable default is applied to the model parameters.
+
+_REQUIRED = object()
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+_ABOVE_MINUS_ONE = (lambda v: v > -1, "must exceed -1")
+_ALL_NONNEGATIVE = (lambda v: min(v, default=0.0) >= 0, "must be nonnegative")
+
+
+def _at_least(n):
+    return lambda v: v >= n, f"must be at least {n}"
+
+
+def _one_of(*choices):
+    return lambda v: v in choices, f"must be one of {sorted(choices)}"
+
+
+_PARAM_NAMES = ("kappa", "gamma", "tau", "theta", "f", "s")
+_HISTORIES = {
+    "constant": {"value": (float, _REQUIRED, _NONNEGATIVE)},
+    "steady_state_perturbation": {
+        "amplitude": (float, _REQUIRED, _ABOVE_MINUS_ONE),
+        "mode": (str, "constant", _one_of("constant", "cosine"))},
+    "sampled": {"ts": ([float], _REQUIRED),
+                "values": ([float], _REQUIRED),
+                "order": (int, 3)},
+    "carried": {"vary": (str, _REQUIRED, _one_of(*_PARAM_NAMES)),
+                "value": (float, _REQUIRED, _POSITIVE),
+                "settle": (float, 5000.0, _POSITIVE),
+                "amplitude": (float, 0.05, _ABOVE_MINUS_ONE)},
+}
+
+
+def _history(node, path: str, p):
+    """A history object, read by the table of its ``kind``."""
+    kind = _value(node, dict, path, p).get("kind")
+    if not isinstance(kind, str) or kind not in _HISTORIES:
+        raise ConfigError(f"{path}.kind", f"must be one of {sorted(_HISTORIES)}")
+    return _read(node, path + ".", {"kind": (str, _REQUIRED), **_HISTORIES[kind]}, p)
+
+
+_TOLERANCES = {"rtol": (float, 1e-9, _NONNEGATIVE),
+               "atol": (float, 1e-12, _POSITIVE)}
+_SIMULATION = {"t_end": (float, _REQUIRED, _POSITIVE),
+               **_TOLERANCES,
+               "history": (_history, None)}
+_AT = ((str, float), "nontrivial", (
+    lambda v: v in ("nontrivial", "trivial") if isinstance(v, str) else v >= 0,
+    "must be 'nontrivial', 'trivial' or a nonnegative level"))
+_LEVEL = {"level": (float, _REQUIRED),
+          "direction": (str, "both", _one_of("up", "down", "both"))}
+_EVENTS = {"extrema": (bool, True),
+           "levels": ([(_LEVEL, float)], [])}
+
+_SETTINGS = {
+    "output": {"prefix": (str, None)},
+    "stability": {"at": _AT,
+                  "n_c0": (int, 257, _at_least(1))},
+    "roots": {"at": _AT,
+              "re_min": (float, lambda p: -5.0 / p.tau),
+              "im_max": (float, lambda p: 4.0 * math.pi / p.tau, _POSITIVE)},
+    "hopf": {"vary": (str, _REQUIRED, _one_of("kappa", "gamma", "tau")),
+             "lo": (float, _REQUIRED, _POSITIVE),
+             "hi": (float, _REQUIRED, _POSITIVE),
+             "n_scan": (int, 400, _at_least(2))},
+    "simulate": {**_SIMULATION,
+                 "sample_dt": (float, lambda p: p.tau / 16.0, _POSITIVE),
+                 "events": (_EVENTS, None)},
+    "embed": {**_SIMULATION,
+              "lags": ([float], lambda p: [p.tau], _ALL_NONNEGATIVE),
+              "sampling": (float, lambda p: p.tau / 32.0, _POSITIVE),
+              "t_start": (float, 0.0, _NONNEGATIVE)},
+    "poincare": {"alpha": (float, 0.0, _NONNEGATIVE),
+                 "level": (float, _REQUIRED),
+                 "direction": (str, "up", _one_of("up", "down")),
+                 "t_start": (float, 0.0, _NONNEGATIVE),
+                 "n_segment": (int, 129, _at_least(1))},
+    "sweep": {"vary": (str, _REQUIRED, _one_of(*_PARAM_NAMES)),
+              "direction": (str, "both", _one_of("up", "down", "both")),
+              "transient": (float, 50.0, _NONNEGATIVE),
+              "record": (float, 6.0, _POSITIVE),
+              "record_mode": (str, "last", _one_of("last", "all")),
+              **_TOLERANCES,
+              "mesh": (str, None, _one_of("fig13", "snaking")),
+              "mesh_points": (int, None, _at_least(1)),
+              "start": (float, None, _POSITIVE),  # these three are required
+              "stop": (float, None, _POSITIVE),   # without a named mesh
+              "n": (int, None, _at_least(1))},
+    "lyapunov": {"m": (int, 8, _at_least(1)),
+                 "horizon": (float, 30000.0, _POSITIVE),
+                 "reorth": (float, 1.0, _POSITIVE),
+                 "transient": (float, 2000.0, _NONNEGATIVE),
+                 "bundle_warmup": (float, 200.0, _NONNEGATIVE),
+                 "n_mesh": (int, 128, _at_least(4)),
+                 "seed": (int, None, _NONNEGATIVE),  # None: the top-level seed
+                 "zero_tol": (float, 0.0, _NONNEGATIVE),
+                 "store_every": (int, 10, _at_least(1)),
+                 **_TOLERANCES,
+                 "history": (_history, None)},
+    "slowman": {"q_min": (float, lambda p: p.theta / 20.0, _POSITIVE),
+                "q_max": (float, lambda p: 3.0 * p.theta, _POSITIVE),
+                "n": (int, 200, _at_least(1)),
+                "nullcline_n": (int, 200, _at_least(1))},
+}
+_TOP = {"params": (dict, None),
+        "homeostasis": (dict, None),
+        "set_params": (dict, {}),
+        "seed": (int, 0, _NONNEGATIVE),
+        # one object per section; "steady" reads none but may be present
+        **{name: (dict, None) for name in ("steady", *_SETTINGS)}}
+
+
+def _value(node, kind, path: str, p):
+    """``node`` checked against ``kind`` and converted to it."""
+    if isinstance(kind, tuple):
+        kind = next((k for k in kind if isinstance(
+            node, dict if isinstance(k, dict) else k)), kind[-1])
+    if isinstance(kind, dict):
+        return _read(_value(node, dict, path, p), path + ".", kind, p)
+    if isinstance(kind, list):
+        return [_value(x, kind[0], f"{path}[{i}]", p)
+                for i, x in enumerate(_value(node, list, path, p))]
+    if not isinstance(kind, type):
+        return kind(node, path, p)
+    if kind is float and type(node) is int:
         node = float(node)
-    if kind is int and isinstance(node, float) and node.is_integer():
+    if kind is int and type(node) is float and node.is_integer():
         node = int(node)
-    if not isinstance(node, kind):
-        name = kind.__name__ if isinstance(kind, type) else \
-            "/".join(k.__name__ for k in kind)
-        raise ConfigError(path, f"expected {name}, got {type(node).__name__}")
-    if choices is not None and node not in choices:
-        raise ConfigError(path, f"must be one of {sorted(choices)}")
+    if type(node) is not kind:
+        raise ConfigError(path, f"expected {kind.__name__}, "
+                                f"got {type(node).__name__}")
+    if kind is float and not math.isfinite(node):
+        raise ConfigError(path, "must be finite")
     return node
 
 
+def _read(node: dict, prefix: str, table: dict, p) -> dict:
+    """Every key of ``node`` checked against its row of ``table``, and every
+    absent key at its default; error keys are ``prefix + key``."""
+    for key in node:
+        if key not in table:
+            raise ConfigError(prefix + key, "unknown key")
+    out = {}
+    for key, (kind, default, *checks) in table.items():
+        if key not in node:
+            if default is _REQUIRED:
+                raise ConfigError(prefix + key, "missing required key")
+            out[key] = default(p) if callable(default) else default
+            continue
+        out[key] = _value(node[key], kind, prefix + key, p)
+        for test, message in checks:
+            if not test(out[key]):
+                raise ConfigError(prefix + key, message)
+    return out
+
+
+def settings(cfg: dict, section: str, p: ModelParams | None) -> dict:
+    """The checked settings of one config section, defaults filled in."""
+    return _value(cfg.get(section, {}), _SETTINGS[section], section, p)
+
+
 def resolve_params(cfg: dict) -> ModelParams:
-    has_p = "params" in cfg
-    has_h = "homeostasis" in cfg
-    if has_p == has_h:
+    top = _read(cfg, "", _TOP, None)
+    if (top["params"] is None) == (top["homeostasis"] is None):
         raise ConfigError("params", "exactly one of 'params' or 'homeostasis' "
                                     "must be present")
+    key = "params" if top["params"] is not None else "homeostasis"
     try:
-        if has_p:
-            p = params_from_dict(_get(cfg, "params", dict, required=True))
-        else:
-            p = derive_homeostasis(spec_from_dict(
-                _get(cfg, "homeostasis", dict, required=True)))
-        overrides = _get(cfg, "set_params", dict, default={})
-        if overrides:
-            p = p.with_(**{k: float(v) for k, v in overrides.items()})
-    except ConfigError:
-        raise
+        p = (params_from_dict(top[key]) if key == "params"
+             else derive_homeostasis(spec_from_dict(top[key])))
+        if top["set_params"]:
+            p = p.with_(**{k: float(v) for k, v in top["set_params"].items()})
     except (ValueError, TypeError) as exc:
-        key = "params" if has_p else "homeostasis"
         raise ConfigError(key, str(exc)) from exc
     return p
 
 
-def resolve_history(p: ModelParams, cfg_hist: dict | None, *,
-                    default_amplitude: float = 0.05) -> History:
-    if cfg_hist is None:
-        qs = steady_state(p).nontrivial
-        if qs is None:
-            return History.constant(p.tau, p.theta)
-        return History.steady_state_perturbation(p, default_amplitude)
-    kind = cfg_hist.get("kind")
-    if kind == "carried":
-        vary = cfg_hist["vary"]
-        value = float(cfg_hist["value"])
-        settle = float(cfg_hist.get("settle", 5000.0))
-        amp = float(cfg_hist.get("amplitude", 0.05))
-        p_via = p.with_(**{vary: value})
-        seed = History.steady_state_perturbation(p_via, amp)
-        settled = integrate(p_via, seed, settle)
-        return history_from_trajectory(settled, settled.t_end, p.tau)
+def resolve_history(p: ModelParams, h: dict | None, path: str) -> History:
+    """The initial history that a checked ``history`` setting describes, or
+    the default seed when there is none."""
+    if h is None:
+        return History.default(p)
     try:
-        return History.from_config(p, cfg_hist)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("history", str(exc)) from exc
+        if h["kind"] == "constant":
+            return History.constant(p.tau, h["value"])
+        if h["kind"] == "sampled":
+            return History.sampled(h["ts"], h["values"], h["order"])
+        carried = h["kind"] == "carried"
+        p_seed = p.with_(**{h["vary"]: h["value"]}) if carried else p
+        seed = History.steady_state_perturbation(p_seed, h["amplitude"],
+                                                  h.get("mode", "constant"))
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+    if not carried:
+        return seed
+    settled = integrate(p_seed, seed, h["settle"])
+    return history_from_trajectory(settled, settled.t_end, p.tau)
 
 
 def _jsonable(obj):
@@ -149,14 +279,13 @@ class _Run:
 
     def path(self, suffix: str) -> str:
         os.makedirs(self.outdir, exist_ok=True)
-        fname = f"{self.prefix}_{suffix}"
-        full = os.path.join(self.outdir, fname)
-        self.files.append(fname)
-        return full
+        self.files.append(f"{self.prefix}_{suffix}")
+        return os.path.join(self.outdir, self.files[-1])
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (summary dict, exit code)
+# command handlers: each reads its sections first and returns
+# (summary dict, exit code)
 
 def _cmd_steady(cfg, p, run):
     ss = steady_state(p)
@@ -169,25 +298,20 @@ def _cmd_steady(cfg, p, run):
     return out, EXIT_OK
 
 
-def _stability_coeffs(cfg, p, section):
-    at = _get(cfg, f"{section}.at", (str, float, int), default="nontrivial")
+def _stability_coeffs(p, at, section):
+    q_eq = 0.0 if at == "trivial" else at
     if at == "nontrivial":
-        qs = steady_state(p).nontrivial
-        if qs is None:
+        q_eq = steady_state(p).nontrivial
+        if q_eq is None:
             raise ConfigError(f"{section}.at", "no nontrivial steady state "
                                                "at these parameters")
-        q_eq = qs
-    elif at == "trivial":
-        q_eq = 0.0
-    else:
-        q_eq = float(at)
     return chareq.coeffs_at(q_eq, p), q_eq
 
 
 def _cmd_stability(cfg, p, run):
-    n_c0 = _get(cfg, "stability.n_c0", int, default=257)
-    c, q_eq = _stability_coeffs(cfg, p, "stability")
-    assess = chareq.stability_region(c, n_c0=n_c0)
+    s = settings(cfg, "stability", p)
+    c, q_eq = _stability_coeffs(p, s["at"], "stability")
+    assess = chareq.stability_region(c, n_c0=s["n_c0"])
     delays = chareq.critical_delays(p)
     out = {"at": q_eq, "a": c.a, "b": c.b, "tau": c.tau,
            "state": assess.state, "tau1": assess.tau1,
@@ -202,14 +326,14 @@ def _cmd_stability(cfg, p, run):
 
 
 def _cmd_roots(cfg, p, run):
-    c, q_eq = _stability_coeffs(cfg, p, "roots")
-    re_min = _get(cfg, "roots.re_min", float, default=-5.0 / p.tau)
-    im_max = _get(cfg, "roots.im_max", float, default=4.0 * math.pi / p.tau)
+    s = settings(cfg, "roots", p)
+    c, q_eq = _stability_coeffs(p, s["at"], "roots")
     code = EXIT_OK
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IncompleteRootCoverageWarning)
         roots = chareq.real_roots(c)
-        roots += chareq.complex_roots(c, re_min=re_min, im_max=im_max)
+        roots += chareq.complex_roots(c, re_min=s["re_min"],
+                                      im_max=s["im_max"])
         if any(issubclass(w.category, IncompleteRootCoverageWarning)
                for w in caught):
             code = EXIT_UNCONVERGED
@@ -218,51 +342,39 @@ def _cmd_roots(cfg, p, run):
                      export.roots_rows(roots))
     out = {"at": q_eq, "n_real": sum(r.kind == "real" for r in roots),
            "n_pairs": sum(r.kind == "complex-pair" for r in roots),
-           "window": {"re_min": re_min, "im_max": im_max}}
+           "window": {"re_min": s["re_min"], "im_max": s["im_max"]}}
     return out, code
 
 
 def _cmd_hopf(cfg, p, run):
-    vary = _get(cfg, "hopf.vary", str, required=True,
-                choices={"kappa", "gamma", "tau"})
-    lo = _get(cfg, "hopf.lo", float, required=True)
-    hi = _get(cfg, "hopf.hi", float, required=True)
-    n_scan = _get(cfg, "hopf.n_scan", int, default=400)
-    pts = chareq.hopf_locus_1p(p, vary, lo, hi, n_scan=n_scan)
+    s = settings(cfg, "hopf", p)
+    pts = chareq.hopf_locus_1p(p, s["vary"], s["lo"], s["hi"],
+                               n_scan=s["n_scan"])
     export.write_csv(run.path("hopf.csv"), ["value", "omega"], pts)
-    out = {"vary": vary, "crossings": [{"value": v, "omega": w,
-                                        "period": 2.0 * math.pi / w}
-                                       for v, w in pts]}
+    out = {"vary": s["vary"], "crossings": [{"value": v, "omega": w,
+                                             "period": 2.0 * math.pi / w}
+                                            for v, w in pts]}
     export.write_json(run.path("hopf.json"), _jsonable(out))
     return out, EXIT_OK
 
 
-def _run_simulation(cfg, p, section):
-    t_end = _get(cfg, f"{section}.t_end", float, required=True)
-    rtol = _get(cfg, f"{section}.rtol", float, default=1e-9)
-    atol = _get(cfg, f"{section}.atol", float, default=1e-12)
-    hist = resolve_history(p, _get(cfg, f"{section}.history", dict))
-    return integrate(p, hist, t_end, rtol=rtol, atol=atol)
+def _run_simulation(p, s, section):
+    hist = resolve_history(p, s["history"], f"{section}.history")
+    return integrate(p, hist, s["t_end"], rtol=s["rtol"], atol=s["atol"])
 
 
 def _cmd_simulate(cfg, p, run):
-    traj = _run_simulation(cfg, p, "simulate")
-    sample_dt = _get(cfg, "simulate.sample_dt", float, default=p.tau / 16.0)
-    ts = np.arange(0.0, traj.t_end + 1e-9, sample_dt)
+    s = settings(cfg, "simulate", p)
+    traj = _run_simulation(p, s, "simulate")
+    ts = np.arange(0.0, traj.t_end + 1e-9, s["sample_dt"])
     export.write_csv(run.path("trajectory.csv"), export.TRAJECTORY_HEADER,
                      export.trajectory_rows(traj, ts))
-    ev_cfg = _get(cfg, "simulate.events", dict, default=None)
+    ev = s["events"]
     n_events = 0
-    if ev_cfg is not None:
-        levels = []
-        for item in ev_cfg.get("levels", []):
-            if isinstance(item, dict):
-                levels.append((float(item["level"]),
-                               item.get("direction", "both")))
-            else:
-                levels.append(float(item))
-        evs = detect_events(traj, extrema=bool(ev_cfg.get("extrema", True)),
-                            levels=tuple(levels))
+    if ev is not None:
+        levels = tuple((x["level"], x["direction"]) if isinstance(x, dict)
+                       else x for x in ev["levels"])
+        evs = detect_events(traj, extrema=ev["extrema"], levels=levels)
         export.write_csv(run.path("events.csv"), export.EVENTS_HEADER,
                          export.events_rows(evs))
         n_events = len(evs)
@@ -272,139 +384,92 @@ def _cmd_simulate(cfg, p, run):
 
 
 def _cmd_embed(cfg, p, run):
-    lags = _get(cfg, "embed.lags", list, default=[p.tau])
-    sampling = _get(cfg, "embed.sampling", float, default=p.tau / 32.0)
-    if sampling <= 0:
-        raise ConfigError("embed.sampling", "must be positive")
-    t_start = _get(cfg, "embed.t_start", float, default=0.0)
-    traj = _run_simulation(cfg, p, "embed")
-    ts, pts = delay_embedding(traj, lags, sampling, t_start=t_start)
-    header = ["t", "Q"] + [f"Q_lag_{i + 1}" for i in range(len(lags))]
+    s = settings(cfg, "embed", p)
+    traj = _run_simulation(p, s, "embed")
+    ts, pts = delay_embedding(traj, s["lags"], s["sampling"],
+                              t_start=s["t_start"])
+    header = ["t", "Q"] + [f"Q_lag_{i + 1}" for i in range(len(s["lags"]))]
     export.write_csv(run.path("embedding.csv"), header,
                      [(t, *row) for t, row in zip(ts, pts)])
-    return {"lags": [float(x) for x in lags], "n_points": len(ts)}, EXIT_OK
+    return {"lags": s["lags"], "n_points": len(ts)}, EXIT_OK
 
 
 def _cmd_poincare(cfg, p, run):
-    traj = _run_simulation(cfg, p, "simulate")
-    crossings = _poincare_from_cfg(cfg, traj, run)
-    return {"n_crossings": len(crossings), "t_end": traj.t_end}, EXIT_OK
+    s = settings(cfg, "simulate", p)
+    sec = settings(cfg, "poincare", p)
+    traj = _run_simulation(p, s, "simulate")
+    return {"n_crossings": _poincare(sec, traj, run),
+            "t_end": traj.t_end}, EXIT_OK
 
 
-def _poincare_from_cfg(cfg, traj, run):
-    alpha = _get(cfg, "poincare.alpha", float, default=0.0)
-    level = _get(cfg, "poincare.level", float, required=True)
-    direction = _get(cfg, "poincare.direction", str, default="up",
-                     choices={"up", "down"})
-    t_start = _get(cfg, "poincare.t_start", float, default=0.0)
-    n_segment = _get(cfg, "poincare.n_segment", int, default=129)
-    crossings = poincare_section(traj, alpha, level, direction,
-                                 t_start=t_start, n_segment=n_segment)
+def _poincare(s, traj, run):
+    crossings = poincare_section(traj, s["alpha"], s["level"], s["direction"],
+                                 t_start=s["t_start"],
+                                 n_segment=s["n_segment"])
     export.write_csv(run.path("poincare.csv"), export.POINCARE_HEADER,
                      export.poincare_rows(crossings))
-    return crossings
+    return len(crossings)
 
 
-def _sweep_meshes(cfg, direction):
-    mesh_name = _get(cfg, "sweep.mesh", str, default=None)
-    scale = _get(cfg, "sweep.mesh_points", int, default=None)
-    if mesh_name == "fig13":
-        up, down = presets.fig13_mesh(scale or 30400)
-    elif mesh_name == "snaking":
-        up, down = None, presets.snaking_mesh(scale or 2000)
+def _sweep_meshes(s):
+    scale, direction = s["mesh_points"], s["direction"]
+    if s["mesh"] == "fig13":
+        up, down = presets.fig13_mesh(30400 if scale is None else scale)
+    elif s["mesh"] == "snaking":
+        up, down = None, presets.snaking_mesh(2000 if scale is None else scale)
         if direction in ("up", "both"):
             raise ConfigError("sweep.direction",
                               "the snaking mesh is a decreasing scan")
-    elif mesh_name is not None:
-        raise ConfigError("sweep.mesh", f"unknown mesh {mesh_name!r}")
     else:
-        start = _get(cfg, "sweep.start", float, required=True)
-        stop = _get(cfg, "sweep.stop", float, required=True)
-        n = _get(cfg, "sweep.n", int, required=True)
-        if n < 1 or stop <= start:
-            raise ConfigError("sweep.n", "need n >= 1 and stop > start")
-        up = np.linspace(start, stop, n)
-        down = (0.5 * (up[:-1] + up[1:]))[::-1] if n > 1 else up[::-1]
-    meshes = []
-    if direction in ("up", "both") and up is not None:
-        meshes.append(up)
-    if direction in ("down", "both"):
-        meshes.append(down)
-    return meshes
+        for key in ("start", "stop", "n"):
+            if s[key] is None:
+                raise ConfigError(f"sweep.{key}", "missing required key")
+        if s["stop"] <= s["start"]:
+            raise ConfigError("sweep.stop", "must exceed sweep.start")
+        up = np.linspace(s["start"], s["stop"], s["n"])
+        down = (0.5 * (up[:-1] + up[1:]))[::-1] if s["n"] > 1 else up[::-1]
+    return [mesh for mesh, way in ((up, "up"), (down, "down"))
+            if direction in (way, "both") and mesh is not None]
 
 
 def _cmd_sweep(cfg, p, run):
-    vary = _get(cfg, "sweep.vary", str, required=True,
-                choices={"kappa", "gamma", "tau", "s", "f", "theta"})
-    direction = _get(cfg, "sweep.direction", str, default="both",
-                     choices={"up", "down", "both"})
-    transient = _get(cfg, "sweep.transient", float, default=50.0)
-    if transient < 0:
-        raise ConfigError("sweep.transient", "must be nonnegative")
-    record = _get(cfg, "sweep.record", float, default=6.0)
-    if record <= 0:
-        raise ConfigError("sweep.record", "must be positive")
-    mode = _get(cfg, "sweep.record_mode", str, default="last",
-                choices={"last", "all"})
-    rtol = _get(cfg, "sweep.rtol", float, default=1e-9)
-    atol = _get(cfg, "sweep.atol", float, default=1e-12)
-    sweeps = []
-    n_failed = 0
-    for mesh in _sweep_meshes(cfg, direction):
-        res = orbit_diagram(p, vary, mesh, transient=transient, record=record,
-                            record_mode=mode, rtol=rtol, atol=atol)
-        n_failed += sum(pt.failed for pt in res.points)
-        sweeps.append(res)
+    s = settings(cfg, "sweep", p)
+    sweeps = [orbit_diagram(p, s["vary"], mesh, transient=s["transient"],
+                            record=s["record"], record_mode=s["record_mode"],
+                            rtol=s["rtol"], atol=s["atol"])
+              for mesh in _sweep_meshes(s)]
     export.write_csv(run.path("orbit.csv"), export.ORBIT_HEADER,
                      export.orbit_rows(sweeps))
-    out = {"vary": vary, "n_meshes": len(sweeps),
-           "n_points": sum(len(s.points) for s in sweeps),
-           "n_failed": n_failed}
+    out = {"vary": s["vary"], "n_meshes": len(sweeps),
+           "n_points": sum(len(res.points) for res in sweeps),
+           "n_failed": sum(pt.failed for res in sweeps for pt in res.points)}
     return out, EXIT_OK
 
 
 def _cmd_lyapunov(cfg, p, run):
-    m = _get(cfg, "lyapunov.m", int, default=8)
-    if m < 1:
-        raise ConfigError("lyapunov.m", "need m >= 1")
-    horizon = _get(cfg, "lyapunov.horizon", float, default=30000.0)
-    reorth = _get(cfg, "lyapunov.reorth", float, default=1.0)
-    if reorth <= 0:
-        raise ConfigError("lyapunov.reorth", "must be positive")
-    transient = _get(cfg, "lyapunov.transient", float, default=2000.0)
-    warmup = _get(cfg, "lyapunov.bundle_warmup", float, default=200.0)
-    n_mesh = _get(cfg, "lyapunov.n_mesh", int, default=128)
-    if n_mesh < 4:
-        raise ConfigError("lyapunov.n_mesh", "need n_mesh >= 4")
-    seed = _get(cfg, "lyapunov.seed", int, default=_get(cfg, "seed", int, default=0))
-    zero_tol = _get(cfg, "lyapunov.zero_tol", float, default=0.0)
-    store_every = _get(cfg, "lyapunov.store_every", int, default=10)
-    if store_every < 1:
-        raise ConfigError("lyapunov.store_every", "need store_every >= 1")
-    rtol = _get(cfg, "lyapunov.rtol", float, default=1e-9)
-    atol = _get(cfg, "lyapunov.atol", float, default=1e-12)
-    hist = resolve_history(p, _get(cfg, "lyapunov.history", dict))
-    # integrate the base once so an optional Poincare export can reuse it
+    s = settings(cfg, "lyapunov", p)
+    sec = settings(cfg, "poincare", p) if "poincare" in cfg else None
+    seed = cfg.get("seed", 0) if s["seed"] is None else s["seed"]
+    grid = {"transient": s["transient"], "bundle_warmup": s["bundle_warmup"],
+            "n_mesh": s["n_mesh"]}
     try:
-        span = lyapunov_span(p, horizon, reorth, transient=transient,
-                             bundle_warmup=warmup, n_mesh=n_mesh)
-    except ValueError as exc:  # the only check left there is the horizon's
+        span = lyapunov_span(p, s["horizon"], s["reorth"], **grid)
+    except ValueError as exc:  # the table has checked the other settings
         raise ConfigError("lyapunov.horizon", str(exc)) from exc
-    base = integrate(p, hist, span.t_end, rtol=rtol, atol=atol)
-    spec = lyapunov_spectrum(p, hist, m=m, horizon=horizon, reorth=reorth,
-                             transient=transient, bundle_warmup=warmup,
-                             n_mesh=n_mesh, seed=seed, rtol=rtol, atol=atol,
-                             base=base)
-    ky = kaplan_yorke(spec.exponents, zero_tol=zero_tol)
-    n_crossings = None
-    if "poincare" in cfg:
-        n_crossings = len(_poincare_from_cfg(cfg, base, run))
-    export.write_csv(run.path("lyapunov.csv"), export.lyapunov_header(m),
-                     export.lyapunov_rows(spec, every=store_every))
+    hist = resolve_history(p, s["history"], "lyapunov.history")
+    # integrate the base once so an optional Poincare export can reuse it
+    base = integrate(p, hist, span.t_end, rtol=s["rtol"], atol=s["atol"])
+    spec = lyapunov_spectrum(p, hist, m=s["m"], horizon=s["horizon"],
+                             reorth=s["reorth"], seed=seed, rtol=s["rtol"],
+                             atol=s["atol"], base=base, **grid)
+    ky = kaplan_yorke(spec.exponents, zero_tol=s["zero_tol"])
+    n_crossings = None if sec is None else _poincare(sec, base, run)
+    export.write_csv(run.path("lyapunov.csv"), export.lyapunov_header(s["m"]),
+                     export.lyapunov_rows(spec, every=s["store_every"]))
     out = {"exponents": list(spec.exponents), "drifts": list(spec.drifts),
            "unconverged": list(spec.unconverged), "horizon": spec.horizon,
            "kaplan_yorke": {"dimension": ky.dimension, "k": ky.k,
-                            "status": ky.status, "zero_tol": zero_tol},
+                            "status": ky.status, "zero_tol": s["zero_tol"]},
            "settings": spec.settings}
     if n_crossings is not None:
         out["poincare_crossings"] = n_crossings
@@ -416,18 +481,17 @@ def _cmd_lyapunov(cfg, p, run):
 
 
 def _cmd_slowman(cfg, p, run):
-    q_min = _get(cfg, "slowman.q_min", float, default=p.theta / 20.0)
-    q_max = _get(cfg, "slowman.q_max", float, default=3.0 * p.theta)
-    n = _get(cfg, "slowman.n", int, default=200)
-    n_null = _get(cfg, "slowman.nullcline_n", int, default=200)
+    s = settings(cfg, "slowman", p)
     sf = slowman.singular_params(p)
     marks = slowman.landmarks(p)
-    grid = np.linspace(q_min, q_max, n)
+    grid = np.linspace(s["q_min"], s["q_max"], s["n"])
     rows = slowman.slow_manifold_profile(p, grid)
     export.write_csv(run.path("slowman.csv"), export.SLOWMAN_HEADER,
                      export.slowman_rows(rows))
     export.write_csv(run.path("nullcline.csv"), export.NULLCLINE_HEADER,
-                     export.nullcline_rows(p, np.linspace(q_min, q_max, n_null)))
+                     export.nullcline_rows(
+                         p, np.linspace(s["q_min"], s["q_max"],
+                                        s["nullcline_n"])))
     out = {"epsilon": sf.epsilon, "C": sf.C,
            "Q_star": marks.Q_star, "Q_f": marks.Q_f, "Q_h": marks.Q_h,
            "switch": marks.switch, "gap": list(marks.gap),
@@ -472,12 +536,6 @@ def _apply_overrides(cfg: dict, sets: list[str]) -> dict:
     return cfg
 
 
-def _validate_top_level(cfg: dict):
-    for key in cfg:
-        if key not in _TOP_KEYS:
-            raise ConfigError(key, "unknown configuration section")
-
-
 def _error_json(kind: str, message: str, key: str | None = None) -> str:
     payload = {"error": {"type": kind, "message": message}}
     if key is not None:
@@ -488,7 +546,6 @@ def _error_json(kind: str, message: str, key: str | None = None) -> str:
 def _execute(command: str, cfg: dict, run: _Run,
              preset_name: str | None) -> int:
     started = time.time()
-    _validate_top_level(cfg)
     p = resolve_params(cfg)
     summary, code = _HANDLERS[command](cfg, p, run)
     manifest = {
@@ -507,6 +564,9 @@ def _execute(command: str, cfg: dict, run: _Run,
         "wall_time_s": time.time() - started,
     }
     export.write_json(run.path("manifest.json"), manifest)
+    if code == EXIT_UNCONVERGED:
+        print(_error_json("unconverged", "result flagged unconverged; data "
+                                         "written"), file=sys.stderr)
     return code
 
 
@@ -515,7 +575,7 @@ def main(argv=None) -> int:
         prog="hsclab",
         description="Numerical laboratory for the stem-cell delay model")
     sub = parser.add_subparsers(dest="command")
-    for name in _COMMANDS:
+    for name in _HANDLERS:
         sp = sub.add_parser(name, help=f"run the {name} command")
         _common_args(sp)
     runp = sub.add_parser("run", help="run a named preset")
@@ -552,24 +612,16 @@ def main(argv=None) -> int:
                 cfg = preset["config"]
             else:
                 raise ConfigError("config", "provide --config or --preset")
-        cfg = _apply_overrides(cfg, args.set or [])
+        cfg = _apply_overrides(_value(cfg, dict, "config", None), args.set or [])
         outdir = args.outdir or os.environ.get("HSCLAB_OUTDIR") or "."
-        prefix = args.out or _get(cfg, "output.prefix", str,
-                                  default=preset_name or command)
-        run = _Run(outdir, prefix)
+        prefix = settings(cfg, "output", None)["prefix"]
+        run = _Run(outdir, args.out or (preset_name or command
+                                        if prefix is None else prefix))
         return _execute(command, cfg, run, preset_name)
-    except KeyError as exc:
-        print(_error_json("config", str(exc)), file=sys.stderr)
+    except (ConfigError, KeyError, json.JSONDecodeError, OSError) as exc:
+        print(_error_json("config", str(exc), getattr(exc, "key", None)),
+              file=sys.stderr)
         return EXIT_CONFIG
-    except ConfigError as exc:
-        print(_error_json("config", str(exc), exc.key), file=sys.stderr)
-        return EXIT_CONFIG
-    except (json.JSONDecodeError, OSError) as exc:
-        print(_error_json("config", str(exc)), file=sys.stderr)
-        return EXIT_CONFIG
-    except StepSizeUnderflow as exc:
-        print(_error_json("numerical", str(exc)), file=sys.stderr)
-        return EXIT_NUMERICAL
     except (RuntimeError, FloatingPointError, ValueError) as exc:
         print(_error_json("numerical", str(exc)), file=sys.stderr)
         return EXIT_NUMERICAL

@@ -57,6 +57,8 @@ _D6 = -1453857185 / 822651844
 _D7 = 69997945 / 29380423
 
 _ORDER = 5  # advancing order of the pair
+_MAX_STEPS = 50_000_000  # guard against a step size stuck far below the delay
+_CARRY_POINTS = 257  # samples of a carried history over one delay
 
 
 class StepSizeUnderflow(RuntimeError):
@@ -143,16 +145,12 @@ class History:
                    {"base": qs, "amplitude": float(amplitude), "mode": mode})
 
     @classmethod
-    def from_config(cls, p: ModelParams, cfg: dict) -> "History":
-        kind = cfg.get("kind")
-        if kind == "constant":
-            return cls.constant(p.tau, cfg["value"])
-        if kind == "steady_state_perturbation":
-            return cls.steady_state_perturbation(
-                p, cfg["amplitude"], cfg.get("mode", "constant"))
-        if kind == "sampled":
-            return cls.sampled(cfg["ts"], cfg["values"], cfg.get("order", 3))
-        raise ValueError(f"unknown history kind {kind!r}")
+    def default(cls, p: ModelParams) -> "History":
+        """The seed used when none is given: the steady state raised by 5%,
+        or theta where there is no nontrivial steady state."""
+        if steady_state(p).nontrivial is None:
+            return cls.constant(p.tau, p.theta)
+        return cls.steady_state_perturbation(p, 0.05)
 
 
 @dataclass(frozen=True)
@@ -173,14 +171,13 @@ class Trajectory:
 
     def __init__(self, params: ModelParams, history: History,
                  knots: np.ndarray, coeffs: np.ndarray,
-                 breakpoints: list[float], options: dict):
+                 breakpoints: list[float]):
         self.params = params
         self.history = history
         self.knots = knots            # (n+1,) segment boundaries, knots[0] = 0
         self.coeffs = coeffs          # (n, 5) power-basis in theta
         self.widths = np.diff(knots)  # (n,)
         self.breakpoints = breakpoints
-        self.options = options
         self.events: list[Event] = []
 
     @property
@@ -224,8 +221,6 @@ class Trajectory:
     def __call__(self, t):
         return self._eval(t, deriv=False)
 
-    evaluate = __call__
-
     def derivative(self, t):
         return self._eval(t, deriv=True)
 
@@ -238,9 +233,8 @@ class Trajectory:
 
 def integrate(p: ModelParams, history: History, t_end: float, *,
               rtol: float = 1e-9, atol: float = 1e-12,
-              max_step: float | None = None, first_step: float | None = None,
-              fixed_step: float | None = None, smoothing_rounds: int = 6,
-              max_steps: int = 50_000_000) -> Trajectory:
+              fixed_step: float | None = None,
+              smoothing_rounds: int = 6) -> Trajectory:
     """Solve the delay equation forward from the given history.
 
     Local error per step is kept within rtol/atol (defaults beyond typical,
@@ -251,6 +245,8 @@ def integrate(p: ModelParams, history: History, t_end: float, *,
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
+    if atol <= 0 or rtol < 0:
+        raise ValueError("need atol > 0 and rtol >= 0")
     if abs(history.tau - p.tau) > 1e-12 * max(1.0, p.tau):
         raise ValueError("history delay does not match the model delay")
     kappa, tau, f, s = p.kappa, p.tau, p.f, p.s
@@ -299,14 +295,7 @@ def integrate(p: ModelParams, history: History, t_end: float, *,
         return -(kappa + bn) * qn + A * bd * qd
 
     hmax = min(tau, t_end)
-    if max_step is not None:
-        hmax = min(hmax, max_step)
-    if fixed_step is not None:
-        h = min(fixed_step, hmax)
-    elif first_step is not None:
-        h = min(first_step, hmax)
-    else:
-        h = min(1e-3 * tau, hmax)
+    h = min(1e-3 * tau if fixed_step is None else fixed_step, hmax)
 
     t = 0.0
     k1 = deriv(0.0, y)
@@ -316,8 +305,8 @@ def integrate(p: ModelParams, history: History, t_end: float, *,
 
     while t < t_end:
         n_steps += 1
-        if n_steps > max_steps:
-            raise RuntimeError(f"exceeded {max_steps} steps at t={t}")
+        if n_steps > _MAX_STEPS:
+            raise RuntimeError(f"exceeded {_MAX_STEPS} steps at t={t}")
         s_next = stops[stop_idx]
         h_try = h if h < hmax else hmax
         landing = False
@@ -374,15 +363,8 @@ def integrate(p: ModelParams, history: History, t_end: float, *,
             rejected = True
             h = h_try * max(0.1, 0.9 * err**-0.2)
 
-    traj = Trajectory(
-        params=p, history=history,
-        knots=np.asarray(knots), coeffs=np.asarray(coefs),
-        breakpoints=breakpoints,
-        options={"rtol": rtol, "atol": atol, "max_step": max_step,
-                 "first_step": first_step, "fixed_step": fixed_step,
-                 "smoothing_rounds": smoothing_rounds},
-    )
-    return traj
+    return Trajectory(params=p, history=history, knots=np.asarray(knots),
+                      coeffs=np.asarray(coefs), breakpoints=breakpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +527,12 @@ def detect_events(traj: Trajectory, *, extrema: bool = True,
     return events
 
 
-def history_from_trajectory(traj: Trajectory, t_right: float, tau: float,
-                            n: int = 257) -> History:
+def history_from_trajectory(traj: Trajectory, t_right: float,
+                            tau: float) -> History:
     """Sampled history built from the last ``tau`` time units of a solution
     ending at ``t_right`` (used to carry a state across a parameter sweep)."""
     if t_right - tau < -traj.params.tau - 1e-12:
         raise ValueError("trajectory too short to supply one full delay")
-    ts = np.linspace(t_right - tau, t_right, n)
+    ts = np.linspace(t_right - tau, t_right, _CARRY_POINTS)
     vals = np.maximum(traj(ts), 0.0)
     return History.sampled(ts - t_right, vals, order=3)

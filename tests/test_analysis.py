@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hsclab.analysis import (delay_embedding, estimate_period,
-                             kaplan_yorke, orbit_diagram, poincare_section)
+                             kaplan_yorke, lyapunov_span, orbit_diagram,
+                             poincare_section)
 from hsclab.integrator import History, integrate
 from hsclab.model import steady_state, table1_params
 
@@ -144,6 +145,14 @@ class TestOrbitDiagram:
     def test_monotone_mesh_required(self, table1):
         with pytest.raises(ValueError, match="monotone"):
             orbit_diagram(table1, "kappa", np.array([0.1, 0.3, 0.2]))
+
+
+class TestLyapunovSpan:
+    @pytest.mark.parametrize("kwargs", [{"n_mesh": 3}, {"n_mesh": 0},
+                                        {"reorth": 0.0}, {"reorth": -1.0}])
+    def test_rejects_bad_mesh_or_interval(self, table1, kwargs):
+        with pytest.raises(ValueError, match="n_mesh >= 4 and reorth > 0"):
+            lyapunov_span(table1, 400.0, **kwargs)
 
 
 class TestKaplanYorke:

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hsclab import cli, presets
 from hsclab.cli import main
@@ -8,6 +9,8 @@ from conftest import assert_printed
 
 TABLE1_CFG = {"homeostasis": {"Q_h": 1.1, "beta_h": 0.043, "f": 8.0,
                               "s": 2.0, "gamma": 0.1, "tau": 2.8}}
+CARRIED = {"kind": "carried", "vary": "kappa", "value": 0.961,
+           "settle": 100.0}
 
 
 def run_cli(tmp_path, command, cfg, *extra):
@@ -65,6 +68,35 @@ class TestConfigValidation:
                    "transient": -2.0, "record": 6.0}, "sweep.transient"),
         ("sweep", {"vary": "tau", "start": 1.0, "stop": 2.0, "n": 3,
                    "record": 0.0}, "sweep.record"),
+        # each of these ended in a traceback
+        ("stability", {"n_c0": 0}, "stability.n_c0"),
+        ("simulate", {"t_end": 10.0, "sample_dt": 0.0}, "simulate.sample_dt"),
+        ("simulate", {"t_end": 10.0, "rtol": 0.0, "atol": 0.0},
+         "simulate.atol"),
+        ("simulate", {"t_end": 10.0, "history": dict(CARRIED, vary="bogus")},
+         "simulate.history.vary"),
+        # each of these exited 3
+        ("simulate", {"t_end": -1.0}, "simulate.t_end"),
+        ("roots", {"im_max": -1.0}, "roots.im_max"),
+        ("hopf", {"vary": "kappa", "lo": 1.4, "hi": 1.6, "n_scan": -1},
+         "hopf.n_scan"),
+        ("slowman", {"q_min": 0.0}, "slowman.q_min"),
+        ("lyapunov", {"horizon": 400.0, "seed": -1}, "lyapunov.seed"),
+        ("simulate", {"t_end": 10.0, "history": dict(CARRIED, value="x")},
+         "simulate.history.value"),
+        # each of these exited 3 only after the whole integration
+        ("simulate", {"t_end": 10.0, "events": {"levels": [{"level": "abc"}]}},
+         "simulate.events.levels[0].level"),
+        ("simulate", {"t_end": 10.0, "events": {
+            "levels": [{"level": 0.3, "direction": "sideways"}]}},
+         "simulate.events.levels[0].direction"),
+        ("embed", {"t_end": 10.0, "lags": ["a"]}, "embed.lags[0]"),
+        ("embed", {"t_end": 10.0, "lags": [-1.0]}, "embed.lags"),
+        # each of these ran silently
+        ("simulate", {"t_end": 10.0, "sample_dt": -1.0}, "simulate.sample_dt"),
+        ("lyapunov", {"horizn": 400.0}, "lyapunov.horizn"),
+        ("sweep", {"vary": "tau", "mesh": "fig13", "mesh_points": 0},
+         "sweep.mesh_points"),
     ])
     def test_nonpositive_setting_is_config_error(self, tmp_path, capsys,
                                                  monkeypatch, command, section,
@@ -79,6 +111,21 @@ class TestConfigValidation:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "config"
         assert err["error"]["key"] == key
+
+    @pytest.mark.parametrize("name", sorted(presets.catalog()))
+    def test_preset_config_passes_the_table(self, name, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed while checking the config")
+
+        for fn in ("integrate", "orbit_diagram", "lyapunov_spectrum",
+                   "history_from_trajectory"):
+            monkeypatch.setattr(cli, fn, refuse)
+        cfg = presets.get_preset(name)["config"]
+        p = cli.resolve_params(cfg)
+        sections = set(cfg) - {"homeostasis", "params", "set_params"}
+        assert sections
+        for section in sections:
+            cli.settings(cfg, section, p)
 
     def test_set_override(self, tmp_path):
         code = run_cli(tmp_path, "steady", dict(TABLE1_CFG),
@@ -324,3 +371,63 @@ class TestPresets:
         monkeypatch.setenv("HSCLAB_OUTDIR", str(tmp_path))
         assert main(["run", "fig1-stability-chart"]) == 0
         assert (tmp_path / "fig1-stability-chart_manifest.json").exists()
+
+
+# Small base configs, one per command, and the keys each command reads.
+FUZZ_BASE = {
+    "steady": {},
+    "stability": {"stability": {"n_c0": 17}},
+    "roots": {"roots": {"re_min": -1.0, "im_max": 3.0}},
+    "hopf": {"hopf": {"vary": "kappa", "lo": 1.5, "hi": 1.6, "n_scan": 4}},
+    "simulate": {"simulate": {"t_end": 30.0, "sample_dt": 1.0,
+                              "events": {"levels": [0.3]}}},
+    "embed": {"embed": {"t_end": 30.0, "sampling": 1.0}},
+    "poincare": {"simulate": {"t_end": 40.0}, "poincare": {"level": 0.3}},
+    "sweep": {"sweep": {"vary": "kappa", "start": 0.05, "stop": 0.06,
+                        "n": 3, "transient": 5.0, "record": 2.0}},
+    "lyapunov": {"lyapunov": {"m": 2, "horizon": 100.0, "transient": 10.0,
+                              "bundle_warmup": 0.0, "n_mesh": 16}},
+    "slowman": {"slowman": {"n": 10, "nullcline_n": 10}},
+}
+_SIM_KEYS = ("t_end", "rtol", "atol", "history", "history.kind")
+FUZZ_KEYS = {
+    "steady": (),
+    "stability": ("stability.at", "stability.n_c0"),
+    "roots": ("roots.at", "roots.re_min", "roots.im_max"),
+    "hopf": ("hopf.vary", "hopf.lo", "hopf.hi", "hopf.n_scan"),
+    "simulate": tuple(f"simulate.{k}" for k in _SIM_KEYS + (
+        "sample_dt", "events", "events.extrema", "events.levels")),
+    "embed": tuple(f"embed.{k}" for k in _SIM_KEYS + (
+        "lags", "sampling", "t_start")),
+    "poincare": tuple(f"simulate.{k}" for k in _SIM_KEYS) + tuple(
+        f"poincare.{k}" for k in ("alpha", "level", "direction", "t_start",
+                                  "n_segment")),
+    "sweep": tuple(f"sweep.{k}" for k in (
+        "vary", "direction", "transient", "record", "record_mode", "rtol",
+        "atol", "mesh", "mesh_points", "start", "stop", "n")),
+    "lyapunov": tuple(f"lyapunov.{k}" for k in (
+        "m", "horizon", "reorth", "transient", "bundle_warmup", "n_mesh",
+        "seed", "zero_tol", "store_every", "rtol", "atol", "history")),
+    "slowman": ("slowman.q_min", "slowman.q_max", "slowman.n",
+                "slowman.nullcline_n"),
+}
+FUZZ_CASES = [(command, key) for command, keys in FUZZ_KEYS.items()
+              for key in keys + ("seed", "set_params.kappa", "output.prefix",
+                                 f"{command}.bogus")]
+EDGE_VALUES = [0, -1, 0.5, "x", None, [1], {"a": 1}]
+
+
+class TestGeneratedConfigs:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.sampled_from(FUZZ_CASES), value=st.sampled_from(EDGE_VALUES))
+    def test_documented_exit_code_and_json_on_stderr(self, tmp_path, capsys,
+                                                     case, value):
+        command, key = case
+        cfg = json.loads(json.dumps(dict(TABLE1_CFG, **FUZZ_BASE[command])))
+        code = run_cli(tmp_path, command, cfg, "--set",
+                       f"{key}={json.dumps(value)}")
+        assert code in (0, 2, 3, 4)
+        err = capsys.readouterr().err
+        if code != 0:
+            assert json.loads(err)["error"]["type"]

@@ -137,6 +137,20 @@ class TestBreakpoints:
         assert np.max(orbit_traj.widths) <= orbit_traj.params.tau + 1e-12
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("rtol, atol", [(1e-9, 0.0), (1e-9, -1e-12),
+                                            (-1e-9, 1e-12), (0.0, 0.0)])
+    def test_rejected(self, table1, rtol, atol):
+        with pytest.raises(ValueError, match="atol > 0 and rtol >= 0"):
+            integrate(table1, History.constant(table1.tau, 1.0), 10.0,
+                      rtol=rtol, atol=atol)
+
+    def test_pure_absolute_tolerance_runs(self, table1):
+        traj = integrate(table1, History.constant(table1.tau, 1.0), 10.0,
+                         rtol=0.0, atol=1e-10)
+        assert traj.t_end == 10.0
+
+
 class TestDeterminism:
     def test_bit_identical(self, table1):
         p = table1.with_(kappa=0.3)
@@ -299,7 +313,7 @@ def _hand_built():
                        [1.0, 0.75, -1.5, 1.0, 0.0],
                        [1.75, -1.0, 1.0, 0.0, 0.0]])
     return Trajectory(p, History.constant(p.tau, 1.0),
-                      np.array([0.0, 1.0, 2.0, 3.0]), coeffs, [], {})
+                      np.array([0.0, 1.0, 2.0, 3.0]), coeffs, [])
 
 
 class TestEventsAgainstScalarOracle:
