@@ -73,8 +73,7 @@ _HISTORIES = {
         "amplitude": (float, _REQUIRED, _ABOVE_MINUS_ONE),
         "mode": (str, "constant", _one_of("constant", "cosine"))},
     "sampled": {"ts": ([float], _REQUIRED),
-                "values": ([float], _REQUIRED),
-                "order": (int, 3)},
+                "values": ([float], _REQUIRED)},
     "carried": {"vary": (str, _REQUIRED, _one_of(*_PARAM_NAMES)),
                 "value": (float, _REQUIRED, _POSITIVE),
                 "settle": (float, 5000.0, _POSITIVE),
@@ -235,7 +234,9 @@ def resolve_history(p: ModelParams, h: dict | None, path: str) -> History:
         if h["kind"] == "constant":
             return History.constant(p.tau, h["value"])
         if h["kind"] == "sampled":
-            return History.sampled(h["ts"], h["values"], h["order"])
+            hist = History.sampled(h["ts"], h["values"])
+            hist.check_delay(p.tau)
+            return hist
         carried = h["kind"] == "carried"
         p_seed = p.with_(**{h["vary"]: h["value"]}) if carried else p
         seed = History.steady_state_perturbation(p_seed, h["amplitude"],
@@ -394,9 +395,16 @@ def _cmd_embed(cfg, p, run):
     return {"lags": s["lags"], "n_points": len(ts)}, EXIT_OK
 
 
+def _poincare_settings(cfg, p):
+    s = settings(cfg, "poincare", p)
+    if s["alpha"] > p.tau:
+        raise ConfigError("poincare.alpha", "must not exceed tau")
+    return s
+
+
 def _cmd_poincare(cfg, p, run):
     s = settings(cfg, "simulate", p)
-    sec = settings(cfg, "poincare", p)
+    sec = _poincare_settings(cfg, p)
     traj = _run_simulation(p, s, "simulate")
     return {"n_crossings": _poincare(sec, traj, run),
             "t_end": traj.t_end}, EXIT_OK
@@ -448,7 +456,7 @@ def _cmd_sweep(cfg, p, run):
 
 def _cmd_lyapunov(cfg, p, run):
     s = settings(cfg, "lyapunov", p)
-    sec = settings(cfg, "poincare", p) if "poincare" in cfg else None
+    sec = _poincare_settings(cfg, p) if "poincare" in cfg else None
     seed = cfg.get("seed", 0) if s["seed"] is None else s["seed"]
     grid = {"transient": s["transient"], "bundle_warmup": s["bundle_warmup"],
             "n_mesh": s["n_mesh"]}

@@ -9,6 +9,10 @@ computed.  Derivative discontinuities propagate from t=0 at multiples of the
 delay, so k*tau (k = 1..6) are forced step boundaries, after which the
 solution is smooth enough for the pair's order.
 
+A History is data in one of two layouts, a cubic spline clipped at 0 or
+base*(1 + amplitude*cos(w*t)) (a constant has amplitude 0); the solver and
+trajectories read it through its one unchecked evaluation, ``History.at``.
+
 Trajectories store one power-basis quartic per accepted step and evaluate
 anywhere in [-tau, t_end].  Event detection (extrema, level crossings) roots
 the dense polynomials themselves, all candidate segments in one batch.
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .model import ModelParams, steady_state
 
@@ -56,9 +60,9 @@ _D5 = 701980252875 / 199316789632
 _D6 = -1453857185 / 822651844
 _D7 = 69997945 / 29380423
 
-_ORDER = 5  # advancing order of the pair
 _MAX_STEPS = 50_000_000  # guard against a step size stuck far below the delay
 _CARRY_POINTS = 257  # samples of a carried history over one delay
+_SMOOTHING_ROUNDS = 6  # forced step boundaries at k*tau, k = 1..6
 
 
 class StepSizeUnderflow(RuntimeError):
@@ -69,38 +73,49 @@ class StepSizeUnderflow(RuntimeError):
         self.t = t
 
 
+@dataclass(frozen=True, eq=False)
 class History:
-    """Initial data on [-tau, 0]: constant, sampled, or a perturbed steady
-    state.  Values must be nonnegative and the domain is exactly one delay.
+    """Nonnegative initial data on exactly [-tau, 0], in one of two layouts:
+    a cubic spline with breaks ``x`` and (4, n) coefficients ``c`` (scipy's
+    PPoly layout) clipped at 0, or, with ``x`` None,
+    ``base*(1 + amplitude*cos(w*t))``; amplitude 0 gives exactly ``base``.
     """
 
-    def __init__(self, tau: float, fn, kind: str, config: dict):
-        self.tau = float(tau)
-        self._fn = fn
-        self.kind = kind
-        self.config = config
+    tau: float
+    base: float = 0.0
+    amplitude: float = 0.0
+    w: float = 0.0
+    x: np.ndarray | None = None
+    c: np.ndarray | None = None
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t < -self.tau - 1e-9 * max(1.0, self.tau)) or np.any(t > 1e-12):
             raise ValueError("history queried outside [-tau, 0]")
-        out = self._fn(np.clip(t, -self.tau, 0.0))
+        out = self.at(np.clip(t, -self.tau, 0.0))
         return float(out) if t.ndim == 0 else np.asarray(out, dtype=float)
 
-    def __repr__(self):
-        return f"History(kind={self.kind!r}, tau={self.tau}, {self.config})"
+    def at(self, t):
+        """Values at times already known to lie in [-tau, 0] (unchecked)."""
+        if self.x is None:
+            return self.base * (1.0 + self.amplitude
+                                * np.cos(self.w * np.asarray(t, float)))
+        return np.maximum(PPoly.construct_fast(self.c, self.x)(t), 0.0)
+
+    def check_delay(self, tau: float) -> None:
+        """Raise ValueError unless this history spans the delay ``tau``."""
+        if abs(self.tau - tau) > 1e-12 * max(1.0, tau):
+            raise ValueError("history delay does not match the model delay")
 
     @classmethod
     def constant(cls, tau: float, value: float) -> "History":
         if value < 0:
             raise ValueError("history values must be nonnegative")
-        v = float(value)
-        return cls(tau, lambda t: np.full_like(np.asarray(t, float), v),
-                   "constant", {"value": v})
+        return cls(float(tau), base=float(value))
 
     @classmethod
-    def sampled(cls, ts, values, order: int = 3) -> "History":
-        """History interpolating (ts, values); ts must span [-tau, 0]."""
+    def sampled(cls, ts, values) -> "History":
+        """Cubic spline through (ts, values); ts must span [-tau, 0]."""
         ts = np.asarray(ts, dtype=float)
         values = np.asarray(values, dtype=float)
         if ts.ndim != 1 or ts.shape != values.shape or ts.size < 2:
@@ -112,13 +127,8 @@ class History:
             raise ValueError("sample mesh must span [-tau, 0]")
         if np.any(values < 0):
             raise ValueError("history values must be nonnegative")
-        if order >= 3:
-            spline = CubicSpline(ts, values)
-            fn = lambda t: np.maximum(spline(t), 0.0)
-        else:
-            fn = lambda t: np.interp(t, ts, values)
-        return cls(tau, fn, "sampled",
-                   {"n": int(ts.size), "order": int(order)})
+        spline = CubicSpline(ts, values)
+        return cls(float(tau), x=spline.x, c=spline.c)
 
     @classmethod
     def steady_state_perturbation(cls, p: ModelParams, amplitude: float,
@@ -127,22 +137,19 @@ class History:
 
         mode "constant": Q*(1 + amplitude) on the whole interval;
         mode "cosine":   Q*(1 + amplitude*cos(2 pi t / tau)).
+        The amplitude must exceed -1, and in cosine mode be at most 1.
         """
         qs = steady_state(p).nontrivial
         if qs is None:
             raise ValueError("no nontrivial steady state to perturb")
-        if amplitude <= -1.0:
+        if amplitude <= -1.0 or (mode == "cosine" and amplitude > 1.0):
             raise ValueError("amplitude must keep the history nonnegative")
         if mode == "constant":
-            v = qs * (1.0 + amplitude)
-            fn = lambda t: np.full_like(np.asarray(t, float), v)
-        elif mode == "cosine":
-            w = 2.0 * math.pi / p.tau
-            fn = lambda t: qs * (1.0 + amplitude * np.cos(w * np.asarray(t, float)))
-        else:
-            raise ValueError(f"unknown perturbation mode {mode!r}")
-        return cls(p.tau, fn, "steady_state_perturbation",
-                   {"base": qs, "amplitude": float(amplitude), "mode": mode})
+            return cls(float(p.tau), base=qs * (1.0 + amplitude))
+        if mode == "cosine":
+            return cls(float(p.tau), base=qs, amplitude=float(amplitude),
+                       w=2.0 * math.pi / p.tau)
+        raise ValueError(f"unknown perturbation mode {mode!r}")
 
     @classmethod
     def default(cls, p: ModelParams) -> "History":
@@ -170,15 +177,12 @@ class Trajectory:
     """
 
     def __init__(self, params: ModelParams, history: History,
-                 knots: np.ndarray, coeffs: np.ndarray,
-                 breakpoints: list[float]):
+                 knots: np.ndarray, coeffs: np.ndarray):
         self.params = params
         self.history = history
         self.knots = knots            # (n+1,) segment boundaries, knots[0] = 0
         self.coeffs = coeffs          # (n, 5) power-basis in theta
         self.widths = np.diff(knots)  # (n,)
-        self.breakpoints = breakpoints
-        self.events: list[Event] = []
 
     @property
     def t_end(self) -> float:
@@ -201,7 +205,9 @@ class Trajectory:
         if neg.any():
             if deriv:
                 raise ValueError("derivative not defined on the history interval")
-            out[neg] = self.history(np.clip(tt[neg], lo, 0.0))
+            # the history's own delay may differ from the model's by roundoff
+            out[neg] = self.history.at(
+                np.clip(tt[neg], max(lo, -self.history.tau), 0.0))
         pos = ~neg
         if pos.any():
             tp = np.minimum(tt[pos], hi)
@@ -233,13 +239,12 @@ class Trajectory:
 
 def integrate(p: ModelParams, history: History, t_end: float, *,
               rtol: float = 1e-9, atol: float = 1e-12,
-              fixed_step: float | None = None,
-              smoothing_rounds: int = 6) -> Trajectory:
+              fixed_step: float | None = None) -> Trajectory:
     """Solve the delay equation forward from the given history.
 
     Local error per step is kept within rtol/atol (defaults beyond typical,
-    chosen for multi-decade horizons).  Multiples of the delay up to
-    ``smoothing_rounds`` are mandatory step boundaries.  ``fixed_step``
+    chosen for multi-decade horizons).  The first ``_SMOOTHING_ROUNDS``
+    multiples of the delay are mandatory step boundaries.  ``fixed_step``
     bypasses error control entirely (used for order measurements).
     Identical inputs produce bit-identical trajectories.
     """
@@ -247,29 +252,26 @@ def integrate(p: ModelParams, history: History, t_end: float, *,
         raise ValueError("t_end must be positive")
     if atol <= 0 or rtol < 0:
         raise ValueError("need atol > 0 and rtol >= 0")
-    if abs(history.tau - p.tau) > 1e-12 * max(1.0, p.tau):
-        raise ValueError("history delay does not match the model delay")
+    history.check_delay(p.tau)
     kappa, tau, f, s = p.kappa, p.tau, p.f, p.s
     A = p.amplification
     ths = p.theta**s
 
     # mandatory stops: propagated discontinuities, then the horizon
-    stops: list[float] = [k * tau for k in range(1, smoothing_rounds + 1)
+    stops: list[float] = [k * tau for k in range(1, _SMOOTHING_ROUNDS + 1)
                           if k * tau < t_end * (1.0 - 1e-15)]
     stops.append(float(t_end))
-    breakpoints = [x for x in stops[:-1]]
 
     knots = [0.0]
     coefs: list[tuple] = []
     widths: list[float] = []
     state = {"ptr": 0}
 
-    hist_fn = history
-    y = float(hist_fn(0.0))
+    y = float(history(0.0))
 
     def ydel(tq: float) -> float:
         if tq <= 0.0:
-            v = float(hist_fn._fn(tq))
+            v = float(history.at(tq))
             return v if v > 0.0 else 0.0
         i = state["ptr"]
         n = len(coefs)
@@ -364,7 +366,7 @@ def integrate(p: ModelParams, history: History, t_end: float, *,
             h = h_try * max(0.1, 0.9 * err**-0.2)
 
     return Trajectory(params=p, history=history, knots=np.asarray(knots),
-                      coeffs=np.asarray(coefs), breakpoints=breakpoints)
+                      coeffs=np.asarray(coefs))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +513,7 @@ def detect_events(traj: Trajectory, *, extrema: bool = True,
     """Ordered event log over the requested window.
 
     ``levels`` is an iterable of (level, direction) pairs or bare levels
-    (meaning both directions).  The result is also stored on the trajectory.
+    (meaning both directions).
     """
     events: list[Event] = []
     if extrema:
@@ -523,7 +525,6 @@ def detect_events(traj: Trajectory, *, extrema: bool = True,
             lvl, d = spec, "both"
         events.extend(find_level_crossings(traj, lvl, d, t_start, t_end))
     events.sort(key=lambda e: e.t)
-    traj.events = events
     return events
 
 
@@ -535,4 +536,4 @@ def history_from_trajectory(traj: Trajectory, t_right: float,
         raise ValueError("trajectory too short to supply one full delay")
     ts = np.linspace(t_right - tau, t_right, _CARRY_POINTS)
     vals = np.maximum(traj(ts), 0.0)
-    return History.sampled(ts - t_right, vals, order=3)
+    return History.sampled(ts - t_right, vals)

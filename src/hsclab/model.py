@@ -19,7 +19,6 @@ Units follow the calibration table: concentrations in 1e6 cells/kg, rates in
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -42,8 +41,6 @@ __all__ = [
     "rhs",
     "params_to_dict",
     "params_from_dict",
-    "params_to_json",
-    "params_from_json",
     "spec_from_dict",
     "TABLE1_SPEC",
     "table1_params",
@@ -301,11 +298,3 @@ def spec_from_dict(d: dict) -> HomeostasisSpec:
     if extra:
         raise ValueError(f"unknown homeostasis keys: {extra}")
     return HomeostasisSpec(**{k: float(d[k]) for k in _SPEC_KEYS})
-
-
-def params_to_json(p: ModelParams) -> str:
-    return json.dumps(params_to_dict(p), indent=2, sort_keys=True)
-
-
-def params_from_json(text: str) -> ModelParams:
-    return params_from_dict(json.loads(text))

@@ -52,6 +52,14 @@ class TestConfigValidation:
     def test_missing_config_and_preset(self, tmp_path, capsys):
         assert main(["steady", "--outdir", str(tmp_path)]) == 2
 
+    @pytest.fixture
+    def refuse_integration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated before the config was checked")
+
+        for name in ("integrate", "orbit_diagram", "lyapunov_spectrum"):
+            monkeypatch.setattr(cli, name, refuse)
+
     @pytest.mark.parametrize("command, section, key", [
         ("embed", {"t_end": 10.0, "sampling": 0.0}, "embed.sampling"),
         ("lyapunov", {"m": 0, "horizon": 400.0}, "lyapunov.m"),
@@ -97,20 +105,37 @@ class TestConfigValidation:
         ("lyapunov", {"horizn": 400.0}, "lyapunov.horizn"),
         ("sweep", {"vary": "tau", "mesh": "fig13", "mesh_points": 0},
          "sweep.mesh_points"),
+        # a cosine above amplitude 1 went negative and exited 0
+        ("simulate", {"t_end": 10.0, "history": {
+            "kind": "steady_state_perturbation", "amplitude": 1.5,
+            "mode": "cosine"}}, "simulate.history"),
+        # sample times not spanning the model delay exited 3 in integrate
+        ("simulate", {"t_end": 10.0, "history": {
+            "kind": "sampled", "ts": [-1.0, 0.0], "values": [1.0, 1.0]}},
+         "simulate.history"),
     ])
     def test_nonpositive_setting_is_config_error(self, tmp_path, capsys,
-                                                 monkeypatch, command, section,
-                                                 key):
-        def refuse(*args, **kwargs):
-            raise AssertionError("integrated before the config was checked")
-
-        for name in ("integrate", "orbit_diagram", "lyapunov_spectrum"):
-            monkeypatch.setattr(cli, name, refuse)
+                                                 refuse_integration, command,
+                                                 section, key):
         cfg = dict(TABLE1_CFG, **{command: section})
         assert run_cli(tmp_path, command, cfg) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "config"
         assert err["error"]["key"] == key
+
+    @pytest.mark.parametrize("command, section", [
+        ("poincare", {"simulate": {"t_end": 10.0}}),
+        ("lyapunov", {"lyapunov": {"horizon": 400.0}}),
+    ])
+    def test_poincare_alpha_above_tau_is_config_error(
+            self, tmp_path, capsys, refuse_integration, command, section):
+        # both exited 3, and only after the whole run
+        cfg = dict(TABLE1_CFG, poincare={"alpha": 10.0, "level": 1.0},
+                   **section)
+        assert run_cli(tmp_path, command, cfg) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config"
+        assert err["error"]["key"] == "poincare.alpha"
 
     @pytest.mark.parametrize("name", sorted(presets.catalog()))
     def test_preset_config_passes_the_table(self, name, monkeypatch):

@@ -7,9 +7,8 @@ from hsclab import chareq
 from hsclab.model import (CalibrationError, HomeostasisSpec, ModelParams,
                           TABLE1_SPEC, amplification, beta, derive_homeostasis,
                           existence_bounds, h_and_G, nondimensionalize,
-                          params_from_dict, params_from_json, params_to_dict,
-                          params_to_json, rhs, spec_from_dict, steady_state,
-                          table1_params)
+                          params_from_dict, params_to_dict, rhs,
+                          spec_from_dict, steady_state, table1_params)
 from conftest import assert_printed, random_valid_params
 
 
@@ -213,7 +212,6 @@ class TestSerialization:
         d = params_to_dict(table1)
         assert sorted(d) == ["f", "gamma", "kappa", "s", "tau", "theta"]
         assert params_from_dict(d) == table1
-        assert params_from_json(params_to_json(table1)) == table1
 
     def test_spec_keys(self):
         d = {"Q_h": 1.1, "beta_h": 0.043, "f": 8.0, "s": 2.0,
