@@ -329,6 +329,10 @@ def _cmd_stability(cfg, p, run):
 def _cmd_roots(cfg, p, run):
     s = settings(cfg, "roots", p)
     c, q_eq = _stability_coeffs(p, s["at"], "roots")
+    # complex_roots searches below this cap and rejects an empty window
+    cap = chareq.real_part_cap(c) + 1.0
+    if c.b != 0.0 and s["re_min"] >= cap:
+        raise ConfigError("roots.re_min", f"must lie below the root cap {cap!r}")
     code = EXIT_OK
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IncompleteRootCoverageWarning)
@@ -386,6 +390,12 @@ def _cmd_simulate(cfg, p, run):
 
 def _cmd_embed(cfg, p, run):
     s = settings(cfg, "embed", p)
+    # delay_embedding samples from max(t_start, max(lags) - tau) to t_end
+    if max(s["lags"], default=0.0) - p.tau > s["t_end"]:
+        raise ConfigError("embed.lags", "the largest lag must not exceed "
+                                        "t_end + tau")
+    if s["t_start"] > s["t_end"]:
+        raise ConfigError("embed.t_start", "must not exceed t_end")
     traj = _run_simulation(p, s, "embed")
     ts, pts = delay_embedding(traj, s["lags"], s["sampling"],
                               t_start=s["t_start"])

@@ -13,6 +13,14 @@ A History is data in one of two layouts, a cubic spline clipped at 0 or
 base*(1 + amplitude*cos(w*t)) (a constant has amplitude 0); the solver and
 trajectories read it through its one unchecked evaluation, ``History.at``.
 
+Adaptive runs are stepped by a compiled port of the step loop
+(``_kernel.c``), built with the system gcc on the first call into a cache
+next to this file and loaded with ctypes.  It keeps every formula's order,
+reads both history layouts natively, and gives the same knots and
+coefficients bit for bit.  Fixed-step runs, and machines where the build,
+the load or the check of its history read against ``History.at`` fails,
+use the Python loop, which stays the oracle.
+
 Trajectories store one power-basis quartic per accepted step and evaluate
 anywhere in [-tau, t_end].  Event detection (extrema, level crossings) roots
 the dense polynomials themselves, all candidate segments in one batch.
@@ -20,8 +28,11 @@ the dense polynomials themselves, all candidate segments in one batch.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -247,20 +258,40 @@ def integrate(p: ModelParams, history: History, t_end: float, *,
     multiples of the delay are mandatory step boundaries.  ``fixed_step``
     bypasses error control entirely (used for order measurements).
     Identical inputs produce bit-identical trajectories.
+
+    Adaptive runs use the compiled step loop where it can be built (see
+    ``_kernel``); ``fixed_step`` runs and machines without it use the Python
+    loop, which gives the same knots and coefficients bit for bit.
     """
+    lib = _kernel() if fixed_step is None else None
+    if lib is None:
+        return _python_loop(p, history, t_end, rtol, atol, fixed_step)
+    return _compiled_loop(lib, p, history, t_end, rtol, atol)
+
+
+def _stops(p: ModelParams, history: History, t_end: float, rtol: float,
+           atol: float) -> list[float]:
+    """Check integrate's inputs and return its mandatory stops: the
+    propagated discontinuities k*tau, then the horizon."""
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     if atol <= 0 or rtol < 0:
         raise ValueError("need atol > 0 and rtol >= 0")
     history.check_delay(p.tau)
+    stops: list[float] = [k * p.tau for k in range(1, _SMOOTHING_ROUNDS + 1)
+                          if k * p.tau < t_end * (1.0 - 1e-15)]
+    stops.append(float(t_end))
+    return stops
+
+
+def _python_loop(p: ModelParams, history: History, t_end: float, rtol: float,
+                 atol: float, fixed_step: float | None) -> Trajectory:
+    """The step loop in Python: the fallback, and the oracle of the
+    compiled loop in ``_kernel.c``."""
+    stops = _stops(p, history, t_end, rtol, atol)
     kappa, tau, f, s = p.kappa, p.tau, p.f, p.s
     A = p.amplification
     ths = p.theta**s
-
-    # mandatory stops: propagated discontinuities, then the horizon
-    stops: list[float] = [k * tau for k in range(1, _SMOOTHING_ROUNDS + 1)
-                          if k * tau < t_end * (1.0 - 1e-15)]
-    stops.append(float(t_end))
 
     knots = [0.0]
     coefs: list[tuple] = []
@@ -367,6 +398,140 @@ def integrate(p: ModelParams, history: History, t_end: float, *,
 
     return Trajectory(params=p, history=history, knots=np.asarray(knots),
                       coeffs=np.asarray(coefs))
+
+
+# ---------------------------------------------------------------------------
+# the compiled step loop
+
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+_KERNEL_CACHE = Path(__file__).with_name(".kernel_cache")
+_CC = "gcc"
+# IEEE arithmetic as written: no fused multiply-add, no flag that relaxes IEEE
+# semantics or tunes for the build machine
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_UNTRIED = object()
+_lib = _UNTRIED
+
+
+def _kernel():
+    """The compiled step loop, built on the first call; None where it cannot
+    be built or loaded, or where its history reads differ from ``History.at``."""
+    global _lib
+    if _lib is _UNTRIED:
+        _lib = _load_kernel()
+    return _lib
+
+
+def _load_kernel():
+    import ctypes
+    import hashlib
+    import subprocess
+    import tempfile
+
+    cmd = [_CC, *_CFLAGS]
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+        key = hashlib.sha256(source + "\0".join(cmd).encode()).hexdigest()
+        path = _KERNEL_CACHE / f"kernel-{key[:16]}.so"
+        if not path.exists():
+            _KERNEL_CACHE.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=_KERNEL_CACHE)
+            os.close(fd)
+            try:
+                subprocess.run(cmd + ["-o", tmp, str(_KERNEL_SOURCE), "-lm"],
+                               check=True, capture_output=True,
+                               stdin=subprocess.DEVNULL, timeout=300)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    ptr, dbl, n = ctypes.c_void_p, ctypes.c_double, ctypes.c_long
+    out = ctypes.POINTER
+    lib.hsc_history_at.restype = None
+    lib.hsc_history_at.argtypes = [ptr, ptr, ptr, n, ptr, n, ptr]
+    lib.hsc_integrate.restype = ctypes.c_int
+    lib.hsc_integrate.argtypes = [
+        ptr, ptr, ptr, ptr, n, ptr, n, dbl, dbl, dbl, dbl, dbl,
+        ctypes.c_longlong, out(ptr), out(ptr), out(n), out(dbl)]
+    lib.hsc_free.restype = None
+    lib.hsc_free.argtypes = [ptr]
+    return lib if _reads_match(lib) else None
+
+
+def _history_args(history: History):
+    """The cosine constants and the spline arrays (or None) of a history,
+    as the compiled loop takes them."""
+    cosine = np.array([history.base, history.amplitude, history.w], float)
+    if history.x is None:
+        return cosine, None, None, 0
+    x = np.ascontiguousarray(history.x, dtype=float)
+    c = np.ascontiguousarray(history.c, dtype=float)
+    if x.ndim != 1 or x.size < 2 or c.shape != (4, x.size - 1):
+        raise ValueError("a spline history needs n + 1 breaks and (4, n) "
+                         "coefficients")
+    return cosine, x, c, x.size
+
+
+def _address(a):
+    return None if a is None else a.ctypes.data
+
+
+def _reads_match(lib) -> bool:
+    """True when the compiled history read equals ``History.at`` bit for bit
+    on a fixed spline history (its clip active) and a fixed cosine history,
+    read one time at a time as the Python loop reads them."""
+    tau = 2.8
+    ts = np.linspace(-tau, 0.0, 17)
+    t = np.concatenate([np.linspace(-tau, 0.0, 301), ts, [-tau - 1e-3, 1e-3]])
+    for h in (History.sampled(ts, np.maximum(np.sin(4.0 * ts), 0.0)),
+              History(tau, base=1.1, amplitude=0.5, w=2.0 * math.pi / tau)):
+        cosine, x, c, nx = _history_args(h)
+        got = np.empty_like(t)
+        lib.hsc_history_at(cosine.ctypes.data, _address(x), _address(c), nx,
+                           t.ctypes.data, t.size, got.ctypes.data)
+        want = np.array([float(h.at(v)) for v in t])
+        if got.tobytes() != want.tobytes():
+            return False
+    return True
+
+
+def _compiled_loop(lib, p: ModelParams, history: History, t_end: float,
+                   rtol: float, atol: float) -> Trajectory:
+    """``_python_loop`` for adaptive runs, stepped by ``_kernel.c``."""
+    import ctypes
+
+    stops = np.array(_stops(p, history, t_end, rtol, atol))
+    ths = p.theta**p.s
+    model = np.array([p.kappa, p.f * ths, ths, p.s, p.amplification, p.tau],
+                     float)
+    cosine, x, c, nx = _history_args(history)
+    hmax = min(p.tau, t_end)
+    h = min(1e-3 * p.tau, hmax)
+    knots, coefs = ctypes.c_void_p(), ctypes.c_void_p()
+    n, t_fail = ctypes.c_long(), ctypes.c_double()
+    status = lib.hsc_integrate(
+        model.ctypes.data, cosine.ctypes.data, _address(x), _address(c), nx,
+        stops.ctypes.data, stops.size, t_end, rtol, atol, hmax, h, _MAX_STEPS,
+        ctypes.byref(knots), ctypes.byref(coefs), ctypes.byref(n),
+        ctypes.byref(t_fail))
+    if status == 1:
+        raise StepSizeUnderflow(t_fail.value)
+    if status == 2:
+        raise RuntimeError(f"exceeded {_MAX_STEPS} steps at t={t_fail.value}")
+    if status == 3:  # as Python's float power reports it
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+    if status == 4:
+        raise MemoryError("integrator output buffers")
+    # copied by address: np.ctypeslib.as_array would cache a new ctypes
+    # array type for every run length, and the process would keep growing
+    out = np.empty(n.value + 1), np.empty((n.value, 5))
+    for dst, src in zip(out, (knots, coefs)):
+        ctypes.memmove(dst.ctypes.data, src, dst.nbytes)
+        lib.hsc_free(src)
+    return Trajectory(params=p, history=history, knots=out[0], coeffs=out[1])
 
 
 # ---------------------------------------------------------------------------

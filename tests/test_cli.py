@@ -113,6 +113,12 @@ class TestConfigValidation:
         ("simulate", {"t_end": 10.0, "history": {
             "kind": "sampled", "ts": [-1.0, 0.0], "values": [1.0, 1.0]}},
          "simulate.history"),
+        # each of these exited 3 only after the whole integration, the
+        # t_start one with a message about the lags
+        ("embed", {"t_end": 10.0, "lags": [1.0, 20.0]}, "embed.lags"),
+        ("embed", {"t_end": 10.0, "t_start": 12.0}, "embed.t_start"),
+        # an empty root search window exited 3
+        ("roots", {"re_min": 100.0}, "roots.re_min"),
     ])
     def test_nonpositive_setting_is_config_error(self, tmp_path, capsys,
                                                  refuse_integration, command,

@@ -1,4 +1,6 @@
 
+import shutil
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -409,6 +411,161 @@ class TestEventsAgainstScalarOracle:
         cross = find_level_crossings(traj, 1.03)
         _assert_same_events(cross, _scalar_level_crossings(traj, 1.03))
         assert [e.direction for e in cross] == ["up", "down", "up"]
+
+
+# ---------------------------------------------------------------------------
+# oracle: the Python step loop against the compiled one
+
+@pytest.fixture
+def kernel():
+    lib = integrator._kernel()
+    if lib is None:
+        pytest.skip("the compiled step loop cannot be built here")
+    return lib
+
+
+def _python_loop(p, history, t_end, rtol=1e-9, atol=1e-12):
+    return integrator._python_loop(p, history, t_end, rtol, atol, None)
+
+
+def _assert_same_run(p, history, t_end, **tol):
+    want = _python_loop(p, history, t_end, **tol)
+    got = integrate(p, history, t_end, **tol)
+    assert np.array_equal(got.knots, want.knots)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    return got
+
+
+def _chaotic():
+    return table1_params().with_(kappa=0.865, tau=3.9)
+
+
+@pytest.mark.usefixtures("kernel")
+class TestKernelAgainstPythonLoop:
+    def test_constant_histories(self, table1):
+        qs = steady_state(table1).nontrivial
+        for h in (History.constant(table1.tau, 1.2),
+                  History.constant(table1.tau, table1.theta),
+                  History.constant(table1.tau, qs),
+                  History.steady_state_perturbation(table1, 0.05)):
+            _assert_same_run(table1, h, 300.0)
+
+    @pytest.mark.parametrize("a", [0.05, 0.5, 1.0])
+    def test_cosine_perturbations(self, a):
+        p = _chaotic()
+        _assert_same_run(p, History.steady_state_perturbation(p, a, "cosine"),
+                         500.0)
+
+    def test_random_sampled(self, table1):
+        rng = np.random.default_rng(5)
+        ts = np.concatenate([[-table1.tau],
+                             np.sort(rng.uniform(-table1.tau, 0.0, 30)), [0.0]])
+        h = History.sampled(ts, rng.uniform(0.0, 2.0, ts.size))
+        assert np.min(h.at(np.linspace(-table1.tau, 0.0, 2001))) == 0.0
+        _assert_same_run(table1, h, 300.0)
+
+    def test_positivity_ensemble(self):
+        # the histories and tolerances of the C17 ensemble
+        rng = np.random.default_rng(2024)
+        for _ in range(100):
+            p = random_valid_params(rng)
+            ts = np.linspace(-p.tau, 0.0, 24)
+            hist = History.sampled(ts, rng.uniform(0.0, 4.0 * p.theta, 24))
+            _assert_same_run(p, hist, 200.0 * p.tau, rtol=1e-7, atol=1e-10)
+
+    def test_carried_orbit_diagram_chain(self):
+        # the fig13 protocol: 56 delays per point, each point seeded by the
+        # last delay of the one before
+        p = table1_params().with_(kappa=0.865)
+        prev = None
+        for tau in np.linspace(2.0, 4.0, 7):
+            pv = p.with_(tau=tau)
+            h = (History.default(pv) if prev is None else
+                 history_from_trajectory(prev, prev.t_end, tau))
+            prev = _assert_same_run(pv, h, 56.0 * tau)
+
+    def test_same_underflow_time(self, table1):
+        # an infinite spline coefficient makes every step reading it fail
+        h = History.sampled(np.linspace(-table1.tau, 0.0, 9), np.full(9, 1.1))
+        c = h.c.copy()
+        c[0, 5] = np.inf
+        h = History(h.tau, x=h.x, c=c)
+        with pytest.raises(StepSizeUnderflow) as want:
+            _python_loop(table1, h, 20.0)
+        with pytest.raises(StepSizeUnderflow) as got:
+            integrate(table1, h, 20.0)
+        # the first stage reading that interval's delayed value
+        assert want.value.t == pytest.approx(table1.tau + h.x[5])
+        assert got.value.t == pytest.approx(want.value.t, rel=0, abs=1e-300)
+
+    def test_same_step_limit_error(self, table1, monkeypatch):
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 50)
+        h = History.constant(table1.tau, 1.2)
+        with pytest.raises(RuntimeError, match="exceeded 50 steps") as want:
+            _python_loop(table1, h, 200.0)
+        with pytest.raises(RuntimeError, match="exceeded 50 steps") as got:
+            integrate(table1, h, 200.0)
+        assert str(got.value) == str(want.value)
+
+    def test_same_overflow_error(self, table1):
+        h = History.constant(table1.tau, 1e200)  # Q**s overflows
+        with pytest.raises(OverflowError) as want:
+            _python_loop(table1, h, 20.0)
+        with pytest.raises(OverflowError) as got:
+            integrate(table1, h, 20.0)
+        assert got.value.args == want.value.args
+
+    def test_spline_shape_checked_before_the_call(self, table1):
+        h = History(table1.tau, x=np.array([-table1.tau, 0.0]),
+                    c=np.ones((4, 2)))
+        with pytest.raises(ValueError, match="breaks"):
+            integrate(table1, h, 10.0)
+
+
+class TestKernelBuild:
+    def test_in_use_where_the_compiler_is(self):
+        # otherwise the benchmark could measure the Python loop unnoticed
+        if shutil.which(integrator._CC) is None:
+            pytest.skip(f"no {integrator._CC} on PATH")
+        assert integrator._kernel() is not None
+
+    @pytest.fixture
+    def fresh_build(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(integrator, "_lib", integrator._UNTRIED)
+        monkeypatch.setattr(integrator, "_KERNEL_CACHE", tmp_path / "cache")
+        return tmp_path / "cache"
+
+    def test_missing_compiler_falls_back(self, monkeypatch, capfd,
+                                         fresh_build):
+        monkeypatch.setattr(integrator, "_CC", "hsclab-no-such-compiler")
+        h = History.steady_state_perturbation(_chaotic(), 0.5, "cosine")
+        traj = integrate(_chaotic(), h, 200.0)
+        assert integrator._lib is None
+        want = _python_loop(_chaotic(), h, 200.0)
+        assert np.array_equal(traj.knots, want.knots)
+        assert np.array_equal(traj.coeffs, want.coeffs)
+        assert capfd.readouterr() == ("", "")
+
+    def test_failed_build_is_silent(self, monkeypatch, capfd, fresh_build):
+        if shutil.which(integrator._CC) is None:
+            pytest.skip(f"no {integrator._CC} on PATH")
+        monkeypatch.setattr(integrator, "_CFLAGS",
+                            integrator._CFLAGS + ("-no-such-flag",))
+        assert integrator._kernel() is None
+        assert capfd.readouterr() == ("", "")
+        assert list(fresh_build.iterdir()) == []
+
+    def test_build_leaves_one_library(self, fresh_build):
+        if shutil.which(integrator._CC) is None:
+            pytest.skip(f"no {integrator._CC} on PATH")
+        assert integrator._kernel() is not None
+        assert [f.suffix for f in fresh_build.iterdir()] == [".so"]
+
+    def test_read_mismatch_disables_kernel(self, monkeypatch, kernel):
+        at = History.at
+        monkeypatch.setattr(History, "at",
+                            lambda self, t: np.nextafter(at(self, t), np.inf))
+        assert integrator._load_kernel() is None
 
 
 class TestPositivityBoundedness:
