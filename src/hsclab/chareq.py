@@ -8,10 +8,12 @@ whose eigenvalues solve the transcendental characteristic equation
 
     p(lambda) = lambda - a - b*exp(-lambda*tau) = 0.
 
-This module computes the linearisation coefficients, real roots (via an
-in-house Lambert-W), complex roots (grid-seeded Newton cross-checked by an
-argument-principle winding count), the stability-region classification with
-its boundary curve, critical delays, and one-parameter Hopf-point location.
+Every root is lambda_k = a + W_k(b*tau*exp(-a*tau))/tau on exactly one
+Lambert-W branch k.  This module computes the linearisation coefficients,
+real roots (branches 0 and -1 of an in-house real Lambert-W), complex roots
+(one value per complex branch, cross-checked by an argument-principle
+winding count), the stability-region classification with its boundary
+curve, critical delays, and one-parameter Hopf-point location.
 
 All functions are pure; nothing here mutates shared state.
 """
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
+from scipy.special import lambertw
 
 from .model import ModelParams, h_and_G, steady_state, existence_bounds
 
@@ -90,7 +93,7 @@ def lambert_w(branch: int, x: float) -> float:
     if branch == 0:
         if x > 1e300:
             # solve w + log(w) = log(x) to avoid overflow of e^w
-            return _w0_from_log(math.log(x))
+            return _w_from_log(math.log(x))
         if x < -0.31:  # close to the branch point
             w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
         elif x < 2.0:
@@ -127,13 +130,15 @@ def lambert_w(branch: int, x: float) -> float:
     return w
 
 
-def _w0_from_log(lx: float) -> float:
-    # Newton on g(w) = w + log(w) - lx, safe for astronomically large x
-    w = lx - math.log(lx)
+def _w_from_log(lx):
+    # Newton on g(w) = w + log(w) - lx, safe where x = e^lx is out of double
+    # range; a real lx gives W_0, a complex lx = log x + 2*pi*i*k gives W_k
+    log = math.log if isinstance(lx, float) else cmath.log
+    w = lx - log(lx)
     for _ in range(60):
-        dw = (w + math.log(w) - lx) / (1.0 + 1.0 / w)
+        dw = (w + log(w) - lx) / (1.0 + 1.0 / w)
         w -= dw
-        if abs(dw) <= 1e-16 * w:
+        if abs(dw) <= 1e-16 * abs(w):
             break
     return w
 
@@ -172,8 +177,8 @@ class CharRoot:
 
 
 def _safe_cexp(w: complex) -> complex:
-    # clamp the magnitude so wandering Newton iterates cannot overflow;
-    # converged roots satisfy |exp(-lam*tau)| = |lam-a|/|b|, far below this
+    # clamp the magnitude so contour points far left of the roots cannot
+    # overflow; roots satisfy |exp(-lam*tau)| = |lam-a|/|b|, far below this
     if w.real > 690.0:
         w = complex(690.0, w.imag)
     return cmath.exp(w)
@@ -182,10 +187,6 @@ def _safe_cexp(w: complex) -> complex:
 def char_value(c: LinearizationCoeffs, lam: complex) -> complex:
     """p(lambda) = lambda - a - b*exp(-lambda*tau)."""
     return lam - c.a - c.b * _safe_cexp(-lam * c.tau)
-
-
-def _char_deriv(c: LinearizationCoeffs, lam: complex) -> complex:
-    return 1.0 + c.b * c.tau * _safe_cexp(-lam * c.tau)
 
 
 def _make_root(c: LinearizationCoeffs, lam: complex) -> CharRoot:
@@ -230,7 +231,7 @@ def real_roots(c: LinearizationCoeffs) -> list[CharRoot]:
     arg = -a * tau + math.log(abs(b) * tau)
     if b > 0.0:
         if arg > 690.0:  # e^arg would overflow; log-space solve
-            w = _w0_from_log(arg)
+            w = _w_from_log(arg)
         else:
             w = lambert_w(0, math.exp(arg))
         return [_make_root(c, complex(a + w / tau))]
@@ -255,7 +256,7 @@ def real_part_cap(c: LinearizationCoeffs) -> float:
     a, b, tau = c.a, abs(c.b), c.tau
     if b == 0.0:
         return a
-    g = lambda r: a + b * math.exp(-min(r * tau, 700.0)) - r
+    g = lambda r: a + b * math.exp(min(-r * tau, 700.0)) - r
     hi = a + b + 1.0
     while g(hi) > 0.0:  # g is strictly decreasing in r
         hi += max(1.0, abs(hi))
@@ -266,35 +267,37 @@ def real_part_cap(c: LinearizationCoeffs) -> float:
     return brentq(g, lo, hi, xtol=1e-13)
 
 
-def _newton_root(c: LinearizationCoeffs, z: complex) -> complex | None:
-    for _ in range(80):
-        pz = char_value(c, z)
-        dpz = _char_deriv(c, z)
-        if dpz == 0:
-            return None
-        dz = pz / dpz
-        z -= dz
-        if abs(z) > 1e9:
-            return None
-        if abs(dz) <= 1e-14 * (1.0 + abs(z)):
-            # two polishing steps
-            for _ in range(2):
-                z -= char_value(c, z) / _char_deriv(c, z)
-            return z
-    return None
+def _upper_roots(c: LinearizationCoeffs, k_max: int):
+    """The roots a + W_k(x)/tau, x = b*tau*exp(-a*tau), on the branches
+    k <= k_max that lie in the upper half plane, rightmost first (b != 0).
+
+    For real x, (2k-2)*pi < Im W_k(x) < (2k+1)*pi for k >= 1, and W_0 is
+    complex only when x < -1/e; the other branches hold the real roots and
+    the conjugates.
+    """
+    arg = -c.a * c.tau + math.log(abs(c.b) * c.tau)  # log|x|
+    for k in range(0 if c.b < 0.0 and arg > -1.0 else 1, k_max + 1):
+        if abs(arg) < 700.0:
+            w = complex(lambertw(math.copysign(math.exp(arg), c.b), k))
+        else:  # x out of double range: solve W + log W = log x + 2*pi*i*k
+            w = _w_from_log(complex(arg, math.pi * (2 * k + (c.b < 0.0))))
+        lam = c.a + w / c.tau
+        if lam.imag > 1e-12 * max(1.0, abs(lam)):
+            yield lam
 
 
 def complex_roots(c: LinearizationCoeffs, re_min: float, im_max: float,
                   re_max: float | None = None) -> list[CharRoot]:
     """Conjugate-pair characteristic values in the window
-    re_min <= Re < re_max (default: above-all-roots cap), 0 < Im <= im_max.
+    re_min <= Re <= re_max (default: above-all-roots cap), 0 < Im <= im_max.
 
-    Newton iteration from a uniform seed grid (imaginary pitch <= pi/(2 tau)
-    to respect the root spacing), deduplicated, then count-verified against
-    an argument-principle winding integral over the search rectangle.  A
-    count mismatch triggers denser reseeding; if it persists an
-    IncompleteRootCoverageWarning is issued rather than silently dropping
-    roots.  Real roots are excluded (see real_roots).
+    Every root is a + W_k(b*tau*exp(-a*tau))/tau on exactly one Lambert-W
+    branch k (Corless et al., Adv. Comput. Math. 5 (1996) 329).  The
+    branches with k <= floor(im_max*tau/(2 pi)) + 2 cover the window; each
+    is evaluated once.  The count is verified against an argument-principle
+    winding integral over the window, and a mismatch is reported as an
+    IncompleteRootCoverageWarning.  Real roots are excluded (see
+    real_roots).
     """
     if im_max <= 0:
         raise ValueError("im_max must be positive")
@@ -305,30 +308,11 @@ def complex_roots(c: LinearizationCoeffs, re_min: float, im_max: float,
     if re_max <= re_min:
         raise ValueError("empty search window: re_min above the root cap")
 
-    pairs: list[complex] = []
-    target = None
-    for refine in range(4):
-        pitch_im = math.pi / (2.0 * c.tau) / (1 << refine)
-        pitch_re = min(pitch_im, (re_max - re_min) / 12.0)
-        res = np.arange(re_min + pitch_re / 2.0, re_max, pitch_re)
-        ims = np.arange(pitch_im / 2.0, im_max + pitch_im, pitch_im)
-        found: list[complex] = []
-        for im in ims:
-            for re in res:
-                z = _newton_root(c, complex(re, im))
-                if z is None:
-                    continue
-                if abs(z.imag) <= 1e-12 * max(1.0, abs(z)):
-                    continue  # converged onto a real root
-                z = complex(z.real, abs(z.imag))
-                if not (re_min <= z.real <= re_max and z.imag <= im_max):
-                    continue
-                if all(abs(z - w) > 1e-8 * max(1.0, abs(z)) for w in found):
-                    found.append(z)
-        pairs = found
-        target = _expected_pair_count(c, re_min, re_max, im_max)
-        if target is None or len(pairs) == target:
-            break
+    # the count first: its contour bounds the window, and so k_max
+    target = _expected_pair_count(c, re_min, re_max, im_max)
+    k_max = int(im_max * c.tau / (2.0 * math.pi)) + 2
+    pairs = [z for z in _upper_roots(c, k_max)
+             if re_min <= z.real <= re_max and z.imag <= im_max]
     if target is not None and len(pairs) != target:
         warnings.warn(
             f"root search found {len(pairs)} conjugate pairs but the winding "
@@ -360,16 +344,26 @@ class _BoundaryRootError(RuntimeError):
     pass
 
 
+# caps one winding count near 1.5 s and 40 MB; the default root window of
+# the CLI needs about 100 samples
+_MAX_CONTOUR_SAMPLES = 10**6
+
+
 def winding_number(c: LinearizationCoeffs, re_min: float, re_max: float,
                    im_min: float, im_max: float) -> int:
     """Number of characteristic values inside the rectangle, by integrating
-    the argument of p(lambda) along the boundary (adaptive refinement)."""
+    the argument of p(lambda) along the boundary (adaptive refinement).
+    Raises ValueError for a rectangle too large to sample."""
     corners = [
         complex(re_min, im_min),
         complex(re_max, im_min),
         complex(re_max, im_max),
         complex(re_min, im_max),
     ]
+    perimeter = 2.0 * (abs(re_max - re_min) + abs(im_max - im_min))
+    if 4.0 * perimeter * c.tau / math.pi > _MAX_CONTOUR_SAMPLES:
+        raise ValueError("search window too large: the winding contour "
+                         f"needs more than {_MAX_CONTOUR_SAMPLES} samples")
     total = 0.0
     for k in range(4):
         z0, z1 = corners[k], corners[(k + 1) % 4]
@@ -400,37 +394,29 @@ def _arg_increment(c, z0, z1, p0, p1, depth) -> float:
 
 
 def rightmost_complex_pair(c: LinearizationCoeffs) -> CharRoot | None:
-    """The conjugate pair with the largest real part, or None if the
-    equation has no complex roots reachable within a deep search window.
+    """The conjugate pair with the largest real part, or None when b = 0
+    and there are no complex roots.
 
-    Pair real parts decrease with the pair frequency beyond the first few
-    pairs, so the imaginary window stays capped near the low-frequency band
-    while the real-part window deepens.
+    For real x the real parts of the branch values fall as |k| grows, so
+    the pair is on the principal branch when x < -1/e and on branch 1
+    otherwise.
     """
     if c.b == 0.0:
         return None
-    cap = real_part_cap(c)
-    depth = 4.0 / c.tau
-    for _ in range(8):
-        re_min = cap - depth
-        exact = abs(c.b) * math.exp(min(-re_min * c.tau, 50.0)) + 1e-9
-        im_max = min(exact, 8.0 * math.pi / c.tau)
-        roots = complex_roots(c, re_min, im_max, re_max=cap + 1.0)
-        if roots:
-            return roots[0]
-        depth += 4.0 / c.tau
-    return None
+    return _make_root(c, next(_upper_roots(c, 1)))
 
 
 def rightmost_root(c: LinearizationCoeffs) -> CharRoot:
-    """The characteristic value (real or complex pair) of largest real part."""
-    cands = real_roots(c)
-    pair = rightmost_complex_pair(c)
-    if pair is not None:
-        cands = cands + [pair]
-    if not cands:
-        raise RuntimeError("no characteristic values found")
-    return max(cands, key=lambda r: r.re)
+    """The characteristic value (real or complex pair) of largest real part.
+
+    This is the principal-branch value a + W_0(x)/tau (Shinozaki & Mori,
+    Automatica 42 (2006) 1791): the largest real root where one exists, and
+    the principal-branch pair otherwise.
+    """
+    reals = real_roots(c)
+    if reals:
+        return reals[0]
+    return rightmost_complex_pair(c)
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +519,8 @@ def critical_delays(p: ModelParams) -> CriticalDelays:
     grid over (0, tau_max) for sign changes, each refined by bisection.
     """
     _, tau_max = existence_bounds(p)
+    if tau_max <= 0.0:  # no delay has a nontrivial state
+        return CriticalDelays(None, None, _tau2(p), tau_max)
     if not math.isfinite(tau_max) or tau_max > 1e8:
         # the existence bound never binds on any physical horizon and the
         # amplification is effectively independent of tau: tau1 is fixed

@@ -466,6 +466,8 @@ def _cmd_sweep(cfg, p, run):
 
 def _cmd_lyapunov(cfg, p, run):
     s = settings(cfg, "lyapunov", p)
+    if s["m"] > s["n_mesh"] + 1:  # the QR of the bundle keeps n_mesh + 1
+        raise ConfigError("lyapunov.m", "must not exceed n_mesh + 1")
     sec = _poincare_settings(cfg, p) if "poincare" in cfg else None
     seed = cfg.get("seed", 0) if s["seed"] is None else s["seed"]
     grid = {"transient": s["transient"], "bundle_warmup": s["bundle_warmup"],
@@ -640,7 +642,7 @@ def main(argv=None) -> int:
         print(_error_json("config", str(exc), getattr(exc, "key", None)),
               file=sys.stderr)
         return EXIT_CONFIG
-    except (RuntimeError, FloatingPointError, ValueError) as exc:
+    except (RuntimeError, ArithmeticError, ValueError) as exc:
         print(_error_json("numerical", str(exc)), file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -69,8 +69,8 @@ class PerturbationBundle:
     def seeded(cls, tau: float, m: int, n_mesh: int = 128, seed: int = 0,
                t_head: float = 0.0) -> "PerturbationBundle":
         """Random orthonormal bundle (deterministic for a given seed)."""
-        if m < 1 or n_mesh < 4:
-            raise ValueError("need m >= 1 and n_mesh >= 4")
+        if m < 1 or n_mesh < 4 or m > n_mesh + 1:
+            raise ValueError("need 1 <= m <= n_mesh + 1 and n_mesh >= 4")
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal((n_mesh + 1, m))
         q, r = np.linalg.qr(raw)

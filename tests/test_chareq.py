@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import lambertw
 
 from hsclab import chareq
 from hsclab.chareq import (LinearizationCoeffs, c0_curve,
@@ -11,7 +12,7 @@ from hsclab.chareq import (LinearizationCoeffs, c0_curve,
                            linearize_at, real_root_rebound, real_roots,
                            rightmost_complex_pair, rightmost_root,
                            stability_region, winding_number)
-from hsclab.model import steady_state
+from hsclab.model import ModelParams, steady_state
 from conftest import assert_printed, random_valid_params
 
 
@@ -25,6 +26,108 @@ def bisect_w(x, lo, hi, n=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# The seeded Newton search that the Lambert-W branch enumeration replaced,
+# kept as the oracle for complex_roots and rightmost_complex_pair.
+
+def _char_deriv(c, lam):
+    return 1.0 + c.b * c.tau * chareq._safe_cexp(-lam * c.tau)
+
+
+def _newton_root(c, z):
+    for _ in range(80):
+        pz = chareq.char_value(c, z)
+        dpz = _char_deriv(c, z)
+        if dpz == 0:
+            return None
+        dz = pz / dpz
+        z -= dz
+        if abs(z) > 1e9:
+            return None
+        if abs(dz) <= 1e-14 * (1.0 + abs(z)):
+            # two polishing steps
+            for _ in range(2):
+                z -= chareq.char_value(c, z) / _char_deriv(c, z)
+            return z
+    return None
+
+
+def newton_complex_roots(c, re_min, im_max, re_max=None):
+    """Newton from a uniform seed grid (imaginary pitch <= pi/(2 tau)),
+    deduplicated, with up to four denser reseedings until the count agrees
+    with the winding count."""
+    if c.b == 0.0:
+        return []
+    if re_max is None:
+        re_max = chareq.real_part_cap(c) + 1.0
+    pairs = []
+    for refine in range(4):
+        pitch_im = math.pi / (2.0 * c.tau) / (1 << refine)
+        pitch_re = min(pitch_im, (re_max - re_min) / 12.0)
+        res = np.arange(re_min + pitch_re / 2.0, re_max, pitch_re)
+        ims = np.arange(pitch_im / 2.0, im_max + pitch_im, pitch_im)
+        found = []
+        for im in ims:
+            for re in res:
+                z = _newton_root(c, complex(re, im))
+                if z is None:
+                    continue
+                if abs(z.imag) <= 1e-12 * max(1.0, abs(z)):
+                    continue  # converged onto a real root
+                z = complex(z.real, abs(z.imag))
+                if not (re_min <= z.real <= re_max and z.imag <= im_max):
+                    continue
+                if all(abs(z - w) > 1e-8 * max(1.0, abs(z)) for w in found):
+                    found.append(z)
+        pairs = found
+        target = chareq._expected_pair_count(c, re_min, re_max, im_max)
+        if target is None or len(pairs) == target:
+            break
+    roots = [chareq._make_root(c, z) for z in pairs]
+    roots.sort(key=lambda r: (-r.re, r.im))
+    return roots
+
+
+def newton_rightmost_complex_pair(c):
+    """The Newton search in a window deepened up to eight times."""
+    if c.b == 0.0:
+        return None
+    cap = chareq.real_part_cap(c)
+    depth = 4.0 / c.tau
+    for _ in range(8):
+        re_min = cap - depth
+        exact = abs(c.b) * math.exp(min(-re_min * c.tau, 50.0)) + 1e-9
+        im_max = min(exact, 8.0 * math.pi / c.tau)
+        roots = newton_complex_roots(c, re_min, im_max, re_max=cap + 1.0)
+        if roots:
+            return roots[0]
+        depth += 4.0 / c.tau
+    return None
+
+
+def ensemble_coeffs(n, seed):
+    """Linearisations at Q*, 0 and Q*/2 of n random valid parameter sets."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        p = random_valid_params(rng)
+        qs = steady_state(p).nontrivial
+        for q in (qs, 0.0, 0.5 * qs):
+            yield coeffs_at(q, p), rng
+
+
+# b*tau*exp(-a*tau) overflows a double for each of these
+OVERFLOWING = [LinearizationCoeffs(-1001.0, 1900.0, 1.0),
+               LinearizationCoeffs(-1001.0, -1900.0, 1.0),
+               LinearizationCoeffs(-400.0, 5000.0, 2.0)]
+
+
+def assert_same_roots(got, want):
+    assert len(got) == len(want)
+    for r, o in zip(got, want):
+        assert abs(r.lam - o.lam) <= 1e-12 * abs(o.lam)
+        assert r.residual <= 1e-10
 
 
 class TestLambertW:
@@ -195,6 +298,31 @@ class TestComplexRoots:
                                   -(im_max + 1e-7), im_max + 1e-7)
             assert wind == 2 * len(pairs) + n_real
 
+    def test_matches_newton_oracle_on_ensemble(self):
+        # 300 parameter sets x 3 reference points, in the window of
+        # test_winding_count_agreement_random
+        n = 0
+        for c, rng in ensemble_coeffs(300, 31):
+            re_min, im_max = -4.0 / c.tau, 3.0 * math.pi / c.tau + rng.uniform(0, 1)
+            want = newton_complex_roots(c, re_min, im_max)
+            assert_same_roots(complex_roots(c, re_min, im_max), want)
+            n += len(want)
+        assert n > 900
+
+    @pytest.mark.parametrize("c", OVERFLOWING)
+    def test_matches_newton_oracle_out_of_double_range(self, c):
+        re_min, im_max = -4.0 / c.tau, 3.0 * math.pi / c.tau + 0.5
+        want = newton_complex_roots(c, re_min, im_max)
+        assert want
+        assert_same_roots(complex_roots(c, re_min, im_max), want)
+
+    @pytest.mark.parametrize("re_min, im_max", [(-5.0, 1e300), (-1e8, 4.0)])
+    def test_window_too_large_to_count(self, table1, re_min, im_max):
+        # neither window may enumerate branches or sample a contour for ever
+        c = coeffs_at(steady_state(table1).nontrivial, table1)
+        with pytest.raises(ValueError, match="window too large"):
+            complex_roots(c, re_min=re_min, im_max=im_max)
+
     def test_positivity_frequency_bound(self):
         # complex roots of the trivial-state linearisation stay above pi/tau
         rng = np.random.default_rng(15)
@@ -205,6 +333,16 @@ class TestComplexRoots:
                                   im_max=3.5 * math.pi / p.tau)
             for r in roots:
                 assert r.im >= math.pi / p.tau - 1e-9
+
+
+class TestRealPartCap:
+    def test_far_left_bracket(self):
+        # the clamp sat on the wrong side of the exponent, so the bracket
+        # search overflowed here
+        c = LinearizationCoeffs(-1001.0, 2.0, 1.0)
+        r = chareq.real_part_cap(c)
+        assert r == pytest.approx(-6.2094, abs=1e-4)
+        assert abs(c.a + abs(c.b) * math.exp(-r * c.tau) - r) <= 1e-12 * abs(c.a)
 
 
 class TestStabilityRegion:
@@ -274,6 +412,16 @@ class TestCriticalDelays:
         assert d.tau1_minus == pytest.approx(expect, rel=1e-9)
         assert d.tau1_plus is None
 
+    def test_no_delay_with_nontrivial_state(self):
+        # kappa above f: tau_max < 0, and the scan ran over negative delays
+        p = ModelParams(kappa=1000.0, gamma=0.01, tau=1.0, theta=1.0, f=1.0,
+                        s=2.0)
+        d = critical_delays(p)
+        assert d.tau_max == pytest.approx(math.log(2.0 / 1001.0) / 0.01,
+                                          rel=1e-14)
+        assert d.tau1_minus is None and d.tau1_plus is None
+        assert d.tau2 is None
+
     def test_unit_hill_exponent_has_no_tau2(self, table1):
         d = critical_delays(table1.with_(s=1.0))
         assert d.tau2 is None
@@ -341,3 +489,27 @@ class TestRightmost:
         assert r.re == pytest.approx(-0.054321, abs=1e-5)
         pair = rightmost_complex_pair(c)
         assert pair.re < r.re
+
+    def test_pair_matches_newton_oracle(self):
+        for c, _ in ensemble_coeffs(100, 57):
+            assert_same_roots([rightmost_complex_pair(c)],
+                              [newton_rightmost_complex_pair(c)])
+        for c in OVERFLOWING:
+            assert_same_roots([rightmost_complex_pair(c)],
+                              [newton_rightmost_complex_pair(c)])
+
+    @given(st.floats(-5.0, 5.0), st.floats(0.01, 5.0), st.booleans(),
+           st.floats(0.1, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_no_branch_lies_right_of_rightmost(self, a, b_abs, negative, tau):
+        c = LinearizationCoeffs(a, -b_abs if negative else b_abs, tau)
+        x = c.b * tau * math.exp(-a * tau)
+        re = rightmost_root(c).re
+        for k in range(-10, 11):
+            lam = a + complex(lambertw(x, k)) / tau
+            assert re >= lam.real - 1e-12 * max(1.0, abs(lam))
+
+    def test_no_delay_coupling(self):
+        c = LinearizationCoeffs(-0.4, 0.0, 2.0)
+        assert rightmost_root(c).lam == -0.4
+        assert rightmost_complex_pair(c) is None

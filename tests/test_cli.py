@@ -119,6 +119,9 @@ class TestConfigValidation:
         ("embed", {"t_end": 10.0, "t_start": 12.0}, "embed.t_start"),
         # an empty root search window exited 3
         ("roots", {"re_min": 100.0}, "roots.re_min"),
+        # more directions than the bundle has mesh values exited 3, and only
+        # after the whole base integration
+        ("lyapunov", {"horizon": 400.0, "m": 200}, "lyapunov.m"),
     ])
     def test_nonpositive_setting_is_config_error(self, tmp_path, capsys,
                                                  refuse_integration, command,
@@ -190,6 +193,46 @@ class TestStabilityCommand:
         assert_printed(cd["tau_max"], 6.90401, 6)
         header = (tmp_path / "st_c0.csv").read_text().splitlines()[0]
         assert header == "omega,a_tau,b_tau"
+
+
+# kappa above f: no delay has a nontrivial state, and the trivial state's
+# characteristic argument b*tau*exp(-a*tau) overflows a double
+FAST_CLEARANCE_CFG = {"params": {"kappa": 1000.0, "gamma": 0.01, "tau": 1.0,
+                                 "theta": 1.0, "f": 1.0, "s": 2.0}}
+
+
+class TestNumericalEdges:
+    @pytest.mark.parametrize("command, section", [
+        ("simulate", {"simulate": {"t_end": 20.0, "history": {
+            "kind": "constant", "value": 1e200}}}),
+        ("stability", {"stability": {"at": 1e300}}),
+        ("roots", {"roots": {"at": 1e300}}),
+    ])
+    def test_overflow_is_numerical_error(self, tmp_path, capsys, command,
+                                         section):
+        # each ended in an OverflowError traceback with exit 1
+        assert run_cli(tmp_path, command, dict(TABLE1_CFG, **section)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "numerical"
+
+    def test_trivial_state_roots_far_left(self, tmp_path, capsys):
+        # the root cap is about -5.22, so the default re_min = -5/tau leaves
+        # an empty window; the cap itself ended in an OverflowError
+        cfg = dict(FAST_CLEARANCE_CFG, roots={"at": "trivial"})
+        assert run_cli(tmp_path, "roots", cfg) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["key"] == "roots.re_min"
+        cfg["roots"]["re_min"] = -20.0
+        assert run_cli(tmp_path, "roots", cfg, "--out", "r") == 0
+        for row in (tmp_path / "r_roots.csv").read_text().splitlines()[1:]:
+            assert float(row.split(",")[2]) < 1e-10
+
+    def test_stability_without_any_nontrivial_delay(self, tmp_path):
+        # the delay scan ran over negative delays and exited 3
+        cfg = dict(FAST_CLEARANCE_CFG, stability={"at": "trivial"})
+        assert run_cli(tmp_path, "stability", cfg, "--out", "st") == 0
+        cd = json.loads((tmp_path / "st_stability.json").read_text())["critical_delays"]
+        assert cd["tau1_minus"] is None and cd["tau1_plus"] is None
+        assert cd["tau_max"] < 0.0
 
 
 class TestRootsCommand:

@@ -54,6 +54,12 @@ class TestBundle:
         g = b.columns.T @ b.columns
         assert np.max(np.abs(g - np.eye(5))) < 1e-12
 
+    def test_more_directions_than_mesh_values_rejected(self):
+        # the QR of an (n_mesh + 1) x m bundle keeps only n_mesh + 1 columns
+        assert PerturbationBundle.seeded(2.8, 17, n_mesh=16).columns.shape == (17, 17)
+        with pytest.raises(ValueError, match="n_mesh"):
+            PerturbationBundle.seeded(2.8, 18, n_mesh=16)
+
     def test_seed_determinism(self):
         a = PerturbationBundle.seeded(2.8, 4, seed=9)
         b = PerturbationBundle.seeded(2.8, 4, seed=9)
