@@ -26,10 +26,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 from scipy.special import lambertw
 
-from .model import ModelParams, h_and_G, steady_state, existence_bounds
+from .model import (ModelParams, h_and_G, h_prime_level, steady_state,
+                    existence_bounds)
 
 __all__ = [
     "LinearizationCoeffs",
@@ -132,8 +133,9 @@ def lambert_w(branch: int, x: float) -> float:
 
 def _w_from_log(lx):
     # Newton on g(w) = w + log(w) - lx, safe where x = e^lx is out of double
-    # range; a real lx gives W_0, a complex lx = log x + 2*pi*i*k gives W_k
-    log = math.log if isinstance(lx, float) else cmath.log
+    # range; a real lx gives W_0, a complex lx = log x + 2*pi*i*k gives W_k,
+    # and a real lx far below -1 gives W_-1(-e^lx) through log|w|
+    log = (lambda w: math.log(abs(w))) if isinstance(lx, float) else cmath.log
     w = lx - log(lx)
     for _ in range(60):
         dw = (w + log(w) - lx) / (1.0 + 1.0 / w)
@@ -141,6 +143,12 @@ def _w_from_log(lx):
         if abs(dw) <= 1e-16 * abs(w):
             break
     return w
+
+
+def _wm1_from_log(lx: float) -> float:
+    """W_{-1}(-e^lx) for lx < -1, solved from lx itself where -e^lx is
+    subnormal or underflows to -0.0 (W_0 of it is then 0-)."""
+    return lambert_w(-1, -math.exp(lx)) if lx > -700.0 else _w_from_log(lx)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +252,7 @@ def real_roots(c: LinearizationCoeffs) -> list[CharRoot]:
         return [_make_root(c, complex(a - 1.0 / tau))]
     roots = [
         _make_root(c, complex(a + lambert_w(0, x) / tau)),
-        _make_root(c, complex(a + lambert_w(-1, x) / tau)),
+        _make_root(c, complex(a + _wm1_from_log(arg) / tau)),
     ]
     roots.sort(key=lambda r: -r.re)
     return roots
@@ -614,24 +622,17 @@ def hopf_locus_1p(p: ModelParams, vary: str, lo: float, hi: float,
 # ---------------------------------------------------------------------------
 # Lambert-W branch coalescence landmarks
 
-def _hprime_dip(p: ModelParams):
-    """Shared set-up of the coalescence landmarks: the Lambert-W argument
-    x0 = -exp(-1 - kappa*tau)/A, h', and the minimum (q_m, h'(q_m)) of h'
-    on the tail beyond its peak q_h.  None when s <= 1 (h' never decreases)
-    or x0 <= -1/e (no real branch)."""
-    if p.s <= 1.0:
-        return None
-    x0 = -math.exp(-1.0 - p.kappa * p.tau) / p.amplification
+def _coalescence_levels(p: ModelParams) -> tuple[float, float] | None:
+    """The h' levels W_0(x0)/tau and W_{-1}(x0)/tau of the coalescence
+    landmarks, x0 = -exp(-1 - kappa*tau)/A; None when x0 <= -1/e (no real
+    branch).  W_{-1} comes from log(-x0) = -1 - kappa*tau - log(A), so a
+    kappa*tau above about 745, which underflows x0 to -0.0, leaves it
+    finite and makes W_0 the level 0-."""
+    lx0 = -1.0 - p.kappa * p.tau - math.log(p.amplification)
+    x0 = -math.exp(lx0)
     if x0 <= -_INV_E:
         return None
-    q_h = p.theta * math.exp(-math.log(p.s - 1.0) / p.s)
-
-    def hp(q):
-        return h_and_G(q, p).h_prime
-
-    res = minimize_scalar(hp, bounds=(q_h * (1 + 1e-10), q_h * 100.0),
-                          method="bounded", options={"xatol": 1e-13})
-    return x0, hp, q_h, res.x, res.fun
+    return lambert_w(0, x0) / p.tau, _wm1_from_log(lx0) / p.tau
 
 
 def lambertw_coalescence(p: ModelParams) -> tuple[float | None, float | None]:
@@ -639,45 +640,35 @@ def lambertw_coalescence(p: ModelParams) -> tuple[float | None, float | None]:
     characteristic equation has no real roots.
 
     Its ends are where b*tau*exp(-a*tau) = -1/e, i.e. where
-    h'(Q)*tau hits W_0 resp. W_{-1} of -exp(-1 - kappa*tau)/A and the two
-    real roots coalesce.  Returns (None, None) when the regime is absent
-    (s <= 1, no decreasing part of h, or the deep target is unreachable).
+    h'(Q)*tau hits W_0 resp. W_{-1} of x0 = -exp(-1 - kappa*tau)/A and the
+    two real roots coalesce; each end is a closed-form solution of
+    h'(Q) = level (model.h_prime_level).  The gap opens where h' first falls
+    to W_0(x0)/tau and closes where it falls to W_{-1}(x0)/tau or, when its
+    dip is shallower, where it recovers to W_0(x0)/tau; an underflowed
+    shallow level 0- is recovered only at infinity (right end None).
+    Returns (None, None) when the regime is absent (s <= 1, no real branch,
+    or h' never reaches the shallow level).
     """
-    dip = _hprime_dip(p)
-    if dip is None:
+    levels = _coalescence_levels(p)
+    if levels is None:
         return None, None
-    x0, hp, q_h, q_m, hp_min = dip
-    t0, tm1 = lambert_w(0, x0) / p.tau, lambert_w(-1, x0) / p.tau
-    if hp_min >= t0:
-        return None, None  # h' never reaches the shallow target
-    q_lo = brentq(lambda q: hp(q) - t0, q_h * (1 + 1e-12), q_m, xtol=1e-15)
-    if hp_min < tm1:
-        q_hi = brentq(lambda q: hp(q) - tm1, q_lo, q_m, xtol=1e-15)
-    else:
-        # shallow dip: the gap closes on the recovering side of h'
-        q_right = q_m
-        while hp(q_right) < t0:
-            q_right *= 2.0
-            if q_right > 1e12 * p.theta:
-                return q_lo, None
-        q_hi = brentq(lambda q: hp(q) - t0, q_m, q_right, xtol=1e-15)
-    return q_lo, q_hi
+    t0, tm1 = levels
+    shallow = h_prime_level(t0, p)
+    if not shallow:
+        return None, None
+    deep = h_prime_level(tm1, p)
+    if deep:
+        return shallow[0], deep[0]
+    return shallow[0], (shallow[-1] if t0 < 0.0 else None)
 
 
 def real_root_rebound(p: ModelParams) -> float | None:
     """Upper concentration bound of the two-real-root window beyond the
-    coalescence gap: where h'(Q)*tau re-crosses W_{-1} on the recovering
-    side and the pair of (positive) real roots vanishes again."""
-    dip = _hprime_dip(p)
-    if dip is None:
+    coalescence gap: the larger solution of h'(Q)*tau = W_{-1}(x0), where
+    h' re-crosses the deep level on its recovering side and the pair of
+    (positive) real roots vanishes again; None when h' never reaches it."""
+    levels = _coalescence_levels(p)
+    if levels is None:
         return None
-    x0, hp, _, q_m, hp_min = dip
-    tm1 = lambert_w(-1, x0) / p.tau
-    if hp_min >= tm1:
-        return None
-    q_right = q_m
-    while hp(q_right) < tm1:
-        q_right *= 2.0
-        if q_right > 1e12 * p.theta:
-            return None
-    return brentq(lambda q: hp(q) - tm1, q_m, q_right, xtol=1e-15)
+    deep = h_prime_level(levels[1], p)
+    return deep[-1] if deep else None

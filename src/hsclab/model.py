@@ -36,6 +36,7 @@ __all__ = [
     "steady_state",
     "existence_bounds",
     "h_and_G",
+    "h_prime_level",
     "nondimensionalize",
     "NondimensionalForm",
     "rhs",
@@ -216,6 +217,27 @@ def h_and_G(Q, p: ModelParams) -> HGValues:
     G = (A - 1.0) * h - p.kappa * Q
     G_prime = (A - 1.0) * h_prime - p.kappa
     return HGValues(h, h_prime, G, G_prime)
+
+
+def h_prime_level(c: float, p: ModelParams) -> list[float]:
+    """Every positive Q with h'(Q) = c, in increasing order.
+
+    In u = (Q/theta)^s, h'(Q) = f*(1 + (1-s)*u)/(1+u)^2, so these are the
+    positive roots of c*u^2 + (2c + (s-1)*f)*u + c - f = 0, with
+    discriminant f*((s-1)^2*f + 4*c*s).  The larger root is taken without
+    cancellation and the other from Vieta's product; c = 0 leaves one
+    finite root, and the double root at the minimum of h' is one solution.
+    Q is formed in log space, so a far root of a tiny level stays finite.
+    """
+    s, f = p.s, p.f
+    disc = f * ((s - 1.0)**2 * f + 4.0 * c * s)
+    if disc < 0.0:
+        return []
+    b = 2.0 * c + (s - 1.0) * f
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    ratios = [(q, c), (c - f, q)] if disc > 0.0 else [(q, c)]
+    return sorted(p.theta * math.exp((math.log(abs(num)) - math.log(abs(den))) / s)
+                  for num, den in ratios if den != 0.0 and num / den > 0.0)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,10 @@ approximations of the slow manifold (a delay-expansion one and one built
 from the real characteristic value of the locally linearised equation), the
 linearised solutions near the manifold, and the concentration landmarks at
 which the local behaviour changes.
+
+Every landmark solves h'(Q) = c for a constant c and is taken in closed form
+from model.h_prime_level; the nullcline is solved by bisection on the
+monotone pieces between the turning points that the same function gives.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import ModelParams, h_and_G, steady_state
+from .model import ModelParams, h_and_G, h_prime_level, steady_state
 from . import chareq
 
 __all__ = [
@@ -89,17 +93,11 @@ def critical_manifold_stability_switch(p: ModelParams) -> float | None:
     """Concentration at which the line of singular-limit equilibria changes
     stability, i.e. where h'(Q) = -1/tau.
 
-    In scaled variables u = (Q/theta)^s this is the quadratic
-    u^2 + (2 - (s-1)*f*tau)*u + 1 + f*tau = 0; the root nearest the steady
-    state is returned, or None when there is no real root.
+    Of the closed-form solutions (model.h_prime_level) the one nearest the
+    steady state (theta when there is none) is returned, or None when h'
+    never falls to -1/tau.
     """
-    fhat = p.tau * p.f
-    bcoef = 2.0 - (p.s - 1.0) * fhat
-    disc = bcoef * bcoef - 4.0 * (1.0 + fhat)
-    if disc < 0.0:
-        return None
-    us = [(-bcoef - math.sqrt(disc)) / 2.0, (-bcoef + math.sqrt(disc)) / 2.0]
-    qs = [p.theta * math.exp(math.log(u) / p.s) for u in us if u > 0.0]
+    qs = h_prime_level(-1.0 / p.tau, p)
     if not qs:
         return None
     ref = steady_state(p).nontrivial
@@ -111,84 +109,59 @@ def critical_manifold_stability_switch(p: ModelParams) -> float | None:
 # ---------------------------------------------------------------------------
 # nullcline
 
-def nullcline(p: ModelParams, given: str, value: float) -> list[float]:
-    """Companion values on the Q' = 0 nullcline.
+# brentq's absolute tolerance, negligible so its relative one (4 ulps) governs
+_XTOL = 1e-300
 
-    With ``given="q_now"`` the delayed coordinate is solved for (a quadratic
-    in the delayed value when s = 2); with ``given="q_delayed"`` the current
-    coordinate solves a cubic (s = 2).  Other Hill exponents fall back to a
-    scan-and-bisect solve.  Returns every nonnegative solution, possibly
-    empty, polished to ~1e-13.
+
+def nullcline(p: ModelParams, given: str, value: float) -> list[float]:
+    """Companion values on the Q' = 0 nullcline: every nonnegative
+    solution in increasing order, possibly none.
+
+    With ``given="q_now"`` the delayed value y solves
+    A*h(y) = kappa*value + h(value), which turns where h' = 0; with
+    ``given="q_delayed"`` the current value q solves
+    kappa*q + h(q) = A*h(value), which turns where h' = -kappa.  Between
+    the turning points (model.h_prime_level) the equation is monotone: each
+    piece whose ends differ in sign is solved by brentq, and the unbounded
+    last piece is widened by doubling while the function keeps its sign and
+    still approaches zero (the tail of h is bounded at s = 1).  A solution
+    at a turning point is returned once.
     """
     if value < 0.0:
         raise ValueError("concentrations are nonnegative")
     A = p.amplification
     ths = p.theta**p.s
     if given == "q_now":
-        rhs_now = (p.kappa + p.f * ths / (ths + value**p.s)) * value
-        fn = lambda y: A * p.f * ths * y / (ths + y**p.s) - rhs_now
-        if p.s == 2.0:
-            if rhs_now == 0.0:
-                return [0.0]
-            coefs = [rhs_now * ths, -A * p.f * ths, rhs_now]  # low -> high in y
-            roots = _poly_roots_nonneg(coefs)
-        else:
-            roots = _scan_roots(fn, p)
+        level = (p.kappa + p.f * ths / (ths + value**p.s)) * value
+        fn = lambda y: A * p.f * ths * y / (ths + y**p.s) - level
+        turns = h_prime_level(0.0, p)
     elif given == "q_delayed":
-        rhs_del = A * p.f * ths * value / (ths + value**p.s)
-        fn = lambda q: (p.kappa + p.f * ths / (ths + q**p.s)) * q - rhs_del
-        if p.s == 2.0:
-            coefs = [-rhs_del * ths, (p.kappa + p.f) * ths, -rhs_del, p.kappa]
-            roots = _poly_roots_nonneg(coefs)
-        else:
-            roots = _scan_roots(fn, p)
+        level = A * p.f * ths * value / (ths + value**p.s)
+        fn = lambda q: (p.kappa + p.f * ths / (ths + q**p.s)) * q - level
+        turns = h_prime_level(-p.kappa, p)
     else:
         raise ValueError("given must be 'q_now' or 'q_delayed'")
-    return sorted(_polish(fn, r) for r in roots)
-
-
-def _poly_roots_nonneg(coefs_lowhigh) -> list[float]:
-    c = np.trim_zeros(np.asarray(coefs_lowhigh, float), "b")
-    if c.size <= 1:
-        return []
-    roots = np.polynomial.polynomial.polyroots(c)
-    out = []
-    for r in roots:
-        if abs(r.imag) <= 1e-9 * max(1.0, abs(r.real)) and r.real >= -1e-14:
-            out.append(max(float(r.real), 0.0))
-    out.sort()
-    dedup = []
-    for r in out:
-        if not dedup or abs(r - dedup[-1]) > 1e-11 * max(1.0, r):
-            dedup.append(r)
-    return dedup
-
-
-def _scan_roots(fn, p: ModelParams, hi_factor: float = 200.0) -> list[float]:
-    hi = hi_factor * p.theta
-    grid = np.linspace(0.0, hi, 4001)
-    vals = np.array([fn(g) for g in grid])
-    out = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            out.append(grid[i])
-        elif (vals[i] < 0.0) != (vals[i + 1] < 0.0):
-            out.append(brentq(fn, grid[i], grid[i + 1], xtol=1e-14))
-    return out
-
-
-def _polish(fn, r: float, delta: float = 1e-9) -> float:
-    # one secant-style correction keeps closed-form roots at ~1e-13 residual
-    f0 = fn(r)
-    if f0 == 0.0:
-        return r
-    d = delta * max(1.0, abs(r))
-    f1 = fn(r + d)
-    if f1 == f0:
-        return r
-    step = f0 * d / (f1 - f0)
-    r2 = r - step
-    return r2 if r2 >= 0.0 and abs(fn(r2)) < abs(f0) else r
+    if level == 0.0:
+        return [0.0]
+    ends = [0.0, *turns]
+    vals = [fn(x) for x in ends]
+    roots = [x for x, v in zip(ends, vals) if v == 0.0]
+    for a, b, fa, fb in zip(ends, ends[1:], vals, vals[1:]):
+        if min(fa, fb) < 0.0 < max(fa, fb):
+            roots.append(brentq(fn, a, b, xtol=_XTOL))
+    a, fa = ends[-1], vals[-1]
+    if fa != 0.0:
+        b = max(2.0 * a, p.theta)
+        try:
+            fb = fn(b)
+            while 0.0 < fb / fa < 1.0:  # same sign, still approaching zero
+                a, fa, b = b, fb, 2.0 * b
+                fb = fn(b)
+        except OverflowError:  # b**s leaves the double range first
+            fb = math.nan
+        if fb / fa <= 0.0:
+            roots.append(brentq(fn, a, b, xtol=_XTOL))
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -235,21 +208,19 @@ class CanardLandmarks:
 
 
 def landmarks(p: ModelParams) -> CanardLandmarks:
+    """Landmarks of the slow-fast structure, each a closed-form solution of
+    h'(Q) = c (model.h_prime_level): Q_f at c = kappa/(A-1), Q_h at c = 0,
+    the switch at c = -1/tau, the gap ends and rebound at Lambert-W levels."""
     qs = steady_state(p).nontrivial
     if qs is None:
         raise RegimeError("no nontrivial steady state at these parameters")
-    gprime = lambda q: h_and_G(q, p).G_prime
-    if gprime(qs * 1e-9) <= 0.0:
-        raise RegimeError("drift is not increasing at small Q")
-    q_f = brentq(gprime, qs * 1e-9, qs, xtol=1e-15)
-    q_h = None
-    if p.s > 1.0:
-        q_h = p.theta * math.exp(-math.log(p.s - 1.0) / p.s)
-    gap = chareq.lambertw_coalescence(p)
+    # Q* exists, so 0 < kappa/(A-1) < f = h'(0): exactly one solution
+    q_f = h_prime_level(p.kappa / (p.amplification - 1.0), p)[0]
+    turns = h_prime_level(0.0, p)
     return CanardLandmarks(
-        Q_f=q_f, Q_h=q_h, Q_star=qs,
+        Q_f=q_f, Q_h=turns[0] if turns else None, Q_star=qs,
         switch=critical_manifold_stability_switch(p),
-        gap=gap, rebound=chareq.real_root_rebound(p),
+        gap=chareq.lambertw_coalescence(p), rebound=chareq.real_root_rebound(p),
     )
 
 

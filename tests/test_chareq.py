@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import lambertw
 
 from hsclab import chareq
@@ -12,7 +13,7 @@ from hsclab.chareq import (LinearizationCoeffs, c0_curve,
                            linearize_at, real_root_rebound, real_roots,
                            rightmost_complex_pair, rightmost_root,
                            stability_region, winding_number)
-from hsclab.model import ModelParams, steady_state
+from hsclab.model import ModelParams, h_and_G, steady_state
 from conftest import assert_printed, random_valid_params
 
 
@@ -128,6 +129,72 @@ def assert_same_roots(got, want):
     for r, o in zip(got, want):
         assert abs(r.lam - o.lam) <= 1e-12 * abs(o.lam)
         assert r.residual <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The minimize_scalar + brentq landmark search that the closed-form h'-level
+# solutions replaced, kept as the oracle for lambertw_coalescence and
+# real_root_rebound.
+
+_INV_E = math.exp(-1.0)
+
+
+def _hprime_dip(p: ModelParams):
+    """Shared set-up of the coalescence landmarks: the Lambert-W argument
+    x0 = -exp(-1 - kappa*tau)/A, h', and the minimum (q_m, h'(q_m)) of h'
+    on the tail beyond its peak q_h.  None when s <= 1 (h' never decreases)
+    or x0 <= -1/e (no real branch)."""
+    if p.s <= 1.0:
+        return None
+    x0 = -math.exp(-1.0 - p.kappa * p.tau) / p.amplification
+    if x0 <= -_INV_E:
+        return None
+    q_h = p.theta * math.exp(-math.log(p.s - 1.0) / p.s)
+
+    def hp(q):
+        return h_and_G(q, p).h_prime
+
+    res = minimize_scalar(hp, bounds=(q_h * (1 + 1e-10), q_h * 100.0),
+                          method="bounded", options={"xatol": 1e-13})
+    return x0, hp, q_h, res.x, res.fun
+
+
+def oracle_lambertw_coalescence(p: ModelParams) -> tuple[float | None, float | None]:
+    dip = _hprime_dip(p)
+    if dip is None:
+        return None, None
+    x0, hp, q_h, q_m, hp_min = dip
+    t0, tm1 = lambert_w(0, x0) / p.tau, lambert_w(-1, x0) / p.tau
+    if hp_min >= t0:
+        return None, None  # h' never reaches the shallow target
+    q_lo = brentq(lambda q: hp(q) - t0, q_h * (1 + 1e-12), q_m, xtol=1e-15)
+    if hp_min < tm1:
+        q_hi = brentq(lambda q: hp(q) - tm1, q_lo, q_m, xtol=1e-15)
+    else:
+        # shallow dip: the gap closes on the recovering side of h'
+        q_right = q_m
+        while hp(q_right) < t0:
+            q_right *= 2.0
+            if q_right > 1e12 * p.theta:
+                return q_lo, None
+        q_hi = brentq(lambda q: hp(q) - t0, q_m, q_right, xtol=1e-15)
+    return q_lo, q_hi
+
+
+def oracle_real_root_rebound(p: ModelParams) -> float | None:
+    dip = _hprime_dip(p)
+    if dip is None:
+        return None
+    x0, hp, _, q_m, hp_min = dip
+    tm1 = lambert_w(-1, x0) / p.tau
+    if hp_min >= tm1:
+        return None
+    q_right = q_m
+    while hp(q_right) < tm1:
+        q_right *= 2.0
+        if q_right > 1e12 * p.theta:
+            return None
+    return brentq(lambda q: hp(q) - tm1, q_m, q_right, xtol=1e-15)
 
 
 class TestLambertW:
@@ -246,6 +313,24 @@ class TestRealRoots:
         assert len(real_roots(c0)) == 0
         c1 = LinearizationCoeffs(a=0.0, b=1.0, tau=1.0)
         assert len(real_roots(c1)) == 1
+
+    def test_underflowed_argument(self):
+        # b*tau*exp(-a*tau) = -8*exp(-800) underflows to -0.0, where
+        # lambert_w(-1, x) raised; the deep root comes from log(-x)
+        c = LinearizationCoeffs(a=100.0, b=-1.0, tau=8.0)
+        near, deep = real_roots(c)
+        assert near.lam == 100.0
+        w = (deep.re - c.a) * c.tau
+        assert w + math.log(-w) == pytest.approx(math.log(8.0) - 800.0,
+                                                 rel=1e-15)
+        assert deep.residual < 1e-10  # the residual contract
+
+    def test_log_space_w_minus_one_matches_direct(self):
+        # either side of the switch to the log-space solve at lx = -700
+        for lx in (-650.0, -699.0, -701.0, -720.0):
+            w = chareq._wm1_from_log(lx)
+            assert w + math.log(-w) == pytest.approx(lx, rel=1e-15)
+            assert w * math.exp(w - lx) == pytest.approx(-1.0, rel=1e-12)
 
     def test_residual_contract(self, table1):
         rng = np.random.default_rng(23)
@@ -477,6 +562,90 @@ class TestCoalescence:
 
     def test_absent_for_unit_hill(self, table1):
         assert lambertw_coalescence(table1.with_(s=1.0)) == (None, None)
+
+    def test_absent_below_unit_hill(self, table1):
+        p = table1.with_(s=0.5)
+        assert lambertw_coalescence(p) == (None, None)
+        assert real_root_rebound(p) is None
+
+    @staticmethod
+    def levels(p):
+        x0 = -math.exp(-1.0 - p.kappa * p.tau) / p.amplification
+        return lambert_w(0, x0) / p.tau, lambert_w(-1, x0) / p.tau
+
+    def test_matches_search_oracle(self, canard_params, table1):
+        rng = np.random.default_rng(0)
+        sets = [canard_params, table1] + [random_valid_params(rng)
+                                          for _ in range(1000)]
+        compared = 0
+        for p in sets:
+            got = [*lambertw_coalescence(p), real_root_rebound(p)]
+            try:
+                want = [*oracle_lambertw_coalescence(p),
+                        oracle_real_root_rebound(p)]
+            except ValueError:
+                continue  # the bracket missed the root (see below)
+            for g, w in zip(got, want):
+                if w is None:
+                    # the search stopped at 1e12*theta; the closed form
+                    # reports the end however far out it lies
+                    assert g is None or g > 1e12 * p.theta
+                else:
+                    assert abs(g - w) <= 1e-12 * w
+                    compared += 1
+        assert compared > 1500
+
+    def test_defining_identities_on_ensemble(self, canard_params, table1):
+        rng = np.random.default_rng(0)
+        sets = [canard_params, table1] + [random_valid_params(rng)
+                                          for _ in range(1000)]
+        for p in sets:
+            t0, tm1 = self.levels(p)
+            q_lo, q_hi = lambertw_coalescence(p)
+            rebound = real_root_rebound(p)
+            hp = lambda q: h_and_G(q, p).h_prime
+            if q_lo is not None:
+                assert abs(hp(q_lo) - t0) <= 1e-14 * p.f
+            if q_hi is not None:
+                want = tm1 if rebound is not None else t0
+                assert abs(hp(q_hi) - want) <= 1e-14 * p.f
+            if rebound is not None:
+                assert abs(hp(rebound) - tm1) <= 1e-14 * p.f
+                assert q_hi < rebound
+
+    def test_shallow_level_next_to_flux_peak(self):
+        # kappa*tau = 34.6 puts W_0(x0)/tau near -1e-16, so the gap opens
+        # within 1e-12 of the flux peak, inside the sliver that a bracket
+        # starting at q_h*(1 + 1e-12) skipped ("different signs" error)
+        p = ModelParams(kappa=4.458102956733756, gamma=0.011228125633118136,
+                        tau=7.768143476893467, theta=0.028032755060227444,
+                        f=10.399807089175754, s=2.141951793816236)
+        t0, _ = self.levels(p)
+        q_lo, q_hi = lambertw_coalescence(p)
+        q_h = p.theta * math.exp(-math.log(p.s - 1.0) / p.s)
+        assert q_lo == pytest.approx(q_h, rel=1e-12)
+        assert abs(h_and_G(q_lo, p).h_prime - t0) <= 1e-14 * p.f
+        assert q_hi > 1e8 * p.theta  # h' recovers to -1e-16 far out
+
+    def test_underflowed_argument(self):
+        # kappa*tau = 800: x0 = -exp(-801)/A underflows to -0.0, where
+        # lambert_w(-1, x0) raised; W_-1 now comes from log(-x0)
+        p = ModelParams(kappa=100.0, gamma=0.01, tau=8.0, theta=1.0,
+                        f=2000.0, s=2.0)
+        lx0 = -1.0 - p.kappa * p.tau - math.log(p.amplification)
+        assert -math.exp(-1.0 - p.kappa * p.tau) / p.amplification == 0.0
+        q_lo, q_hi = lambertw_coalescence(p)
+        rebound = real_root_rebound(p)
+        assert q_lo == pytest.approx(p.theta, rel=1e-15)  # Q_h: h' = 0-
+        hp = lambda q: h_and_G(q, p).h_prime
+        for q in (q_hi, rebound):
+            w = hp(q) * p.tau
+            assert w + math.log(-w) == pytest.approx(lx0, rel=1e-14)
+        assert q_lo < q_hi < steady_state(p).nontrivial < rebound
+        # with a dip shallower than W_-1/tau the gap never closes
+        shallow = p.with_(f=500.0)
+        assert lambertw_coalescence(shallow) == (pytest.approx(p.theta), None)
+        assert real_root_rebound(shallow) is None
 
 
 class TestRightmost:

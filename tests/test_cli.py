@@ -374,6 +374,33 @@ class TestSlowmanCommand:
         assert_printed(lm["Q_f"], 0.042263, 5)
         assert_printed(lm["switch"], 0.0893174, 6)
 
+    @pytest.mark.parametrize("params", [
+        # W_0(x0)/tau near -1e-16: the gap's left end lay inside the
+        # skipped sliver of the bracketed search, which raised (exit 3)
+        {"kappa": 4.458102956733756, "gamma": 0.011228125633118136,
+         "tau": 7.768143476893467, "theta": 0.028032755060227444,
+         "f": 10.399807089175754, "s": 2.141951793816236},
+        # kappa*tau = 800 underflows x0 to -0.0, where W_-1 raised (exit 3)
+        {"kappa": 100.0, "gamma": 0.01, "tau": 8.0, "theta": 1.0,
+         "f": 2000.0, "s": 2.0},
+    ])
+    def test_extreme_coalescence_levels(self, tmp_path, params):
+        cfg = {"params": params, "slowman": {"n": 10, "nullcline_n": 10}}
+        assert run_cli(tmp_path, "slowman", cfg, "--out", "sm") == 0
+        lm = json.loads((tmp_path / "sm_landmarks.json").read_text())
+        assert lm["gap"][0] == pytest.approx(lm["Q_h"], rel=1e-12)
+
+    def test_nullcline_keeps_far_companions(self, tmp_path):
+        # at s = 1.2 the second delayed companion lies beyond 200*theta,
+        # where the scan that solved s != 2 stopped looking
+        cfg = {"homeostasis": TABLE1_CFG["homeostasis"],
+               "set_params": {"s": 1.2},
+               "slowman": {"n": 10, "nullcline_n": 50}}
+        assert run_cli(tmp_path, "slowman", cfg, "--out", "sm") == 0
+        rows = (tmp_path / "sm_nullcline.csv").read_text().splitlines()[1:]
+        assert len(rows) == 100
+        assert [r.split(",")[2] for r in rows] == ["0", "1"] * 50
+
 
 class TestPresets:
     def test_catalog_contains_documented_names(self):

@@ -6,7 +6,8 @@ import pytest
 from hsclab import chareq
 from hsclab.model import (CalibrationError, HomeostasisSpec, ModelParams,
                           TABLE1_SPEC, amplification, beta, derive_homeostasis,
-                          existence_bounds, h_and_G, nondimensionalize,
+                          existence_bounds, h_and_G, h_prime_level,
+                          nondimensionalize,
                           params_from_dict, params_to_dict, rhs,
                           spec_from_dict, steady_state, table1_params)
 from conftest import assert_printed, random_valid_params
@@ -161,6 +162,69 @@ class TestHAndG:
             fd_g = (h_and_G(q + d, table1).G - h_and_G(q - d, table1).G) / (2 * d)
             assert hv.h_prime == pytest.approx(fd_h, rel=1e-6, abs=1e-8)
             assert hv.G_prime == pytest.approx(fd_g, rel=1e-6, abs=1e-8)
+
+
+class TestHPrimeLevel:
+    def test_flux_peak_and_drift_peak(self, table1, canard_params):
+        assert h_prime_level(0.0, table1) == [pytest.approx(table1.theta, rel=1e-15)]
+        p = canard_params
+        (q_f,) = h_prime_level(p.kappa / (p.amplification - 1.0), p)
+        assert_printed(q_f, 0.042263, 5, "Q_f")
+
+    def test_two_solutions_between_minimum_and_zero(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            p = random_valid_params(rng)
+            hp_min = -p.f * (p.s - 1.0)**2 / (4.0 * p.s)  # at u = (s+1)/(s-1)
+            for c in (0.999 * hp_min, 0.5 * hp_min, 1e-6 * hp_min):
+                lo, hi = h_prime_level(c, p)
+                assert lo < hi
+                for q in (lo, hi):
+                    assert abs(h_and_G(q, p).h_prime - c) <= 1e-14 * p.f
+            assert h_prime_level(1.001 * hp_min, p) == []
+            (q,) = h_prime_level(0.5 * p.f, p)
+            assert abs(h_and_G(q, p).h_prime - 0.5 * p.f) <= 1e-14 * p.f
+
+    def test_double_root_at_minimum_is_one_solution(self):
+        # s = 3, f = 3: h' has its minimum -1 at u = 2, exactly
+        p = ModelParams(kappa=0.1, gamma=0.1, tau=1.0, theta=0.5, f=3.0, s=3.0)
+        assert h_prime_level(-1.0, p) == [pytest.approx(0.5 * 2.0**(1.0 / 3.0),
+                                                        rel=1e-15)]
+
+    def test_no_positive_solution_at_or_above_f(self, table1):
+        # h'(0) = f is attained only at Q = 0, which is not positive
+        for s in (0.5, 1.0, 2.0):
+            p = table1.with_(s=s)
+            assert h_prime_level(p.f, p) == []
+            assert h_prime_level(2.0 * p.f, p) == []
+
+    def test_unit_hill(self, table1):
+        # h' = f/(1+u)^2 > 0: no zero (a degenerate quadratic), and
+        # u = sqrt(f/c) - 1 for 0 < c < f
+        p = table1.with_(s=1.0)
+        assert h_prime_level(0.0, p) == []
+        assert h_prime_level(-1.0, p) == []
+        (q,) = h_prime_level(0.25 * p.f, p)
+        assert q == pytest.approx(p.theta, rel=1e-15)
+
+    def test_below_unit_hill(self, table1):
+        # h' falls monotonically from f to 0+: one solution in (0, f) only
+        p = table1.with_(s=0.5)
+        assert h_prime_level(0.0, p) == [] and h_prime_level(-0.1, p) == []
+        for c in (1e-3, 0.3, 0.9):
+            (q,) = h_prime_level(c * p.f, p)
+            assert abs(h_and_G(q, p).h_prime - c * p.f) <= 1e-14 * p.f
+
+    def test_underflowed_levels(self, table1):
+        # a level of -0.0 is h' = 0-: the root at infinity drops out; a
+        # subnormal level keeps its far root finite
+        q_h = table1.theta
+        assert h_prime_level(-0.0, table1) == [pytest.approx(q_h, rel=1e-15)]
+        lo, hi = h_prime_level(-1e-310, table1)
+        assert lo == pytest.approx(q_h, rel=1e-15)
+        # h' ~ -f/u far out, so u = f/1e-310
+        assert hi == pytest.approx(q_h * math.sqrt(table1.f) / math.sqrt(1e-310),
+                                   rel=1e-12)
 
 
 class TestNondimensional:

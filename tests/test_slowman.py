@@ -3,9 +3,103 @@ import math
 import numpy as np
 import pytest
 
+from scipy.optimize import brentq
+
 from hsclab import chareq, slowman
-from hsclab.model import h_and_G, steady_state
-from conftest import assert_printed
+from hsclab.model import ModelParams, h_and_G, rhs, steady_state
+from conftest import assert_printed, random_valid_params
+
+
+# ---------------------------------------------------------------------------
+# The s = 2 polynomial solves of the nullcline, the bracketed drift-maximum
+# search and the switch quadratic that the h'-level solutions replaced, kept
+# as oracles.
+
+def oracle_nullcline_s2(p, given, value):
+    A = p.amplification
+    ths = p.theta**p.s
+    if given == "q_now":
+        rhs_now = (p.kappa + p.f * ths / (ths + value**p.s)) * value
+        fn = lambda y: A * p.f * ths * y / (ths + y**p.s) - rhs_now
+        if rhs_now == 0.0:
+            return [0.0]
+        coefs = [rhs_now * ths, -A * p.f * ths, rhs_now]  # low -> high in y
+        roots = _poly_roots_nonneg(coefs)
+    else:
+        rhs_del = A * p.f * ths * value / (ths + value**p.s)
+        fn = lambda q: (p.kappa + p.f * ths / (ths + q**p.s)) * q - rhs_del
+        coefs = [-rhs_del * ths, (p.kappa + p.f) * ths, -rhs_del, p.kappa]
+        roots = _poly_roots_nonneg(coefs)
+    return sorted(_polish(fn, r) for r in roots)
+
+
+def _poly_roots_nonneg(coefs_lowhigh) -> list[float]:
+    c = np.trim_zeros(np.asarray(coefs_lowhigh, float), "b")
+    if c.size <= 1:
+        return []
+    roots = np.polynomial.polynomial.polyroots(c)
+    out = []
+    for r in roots:
+        if abs(r.imag) <= 1e-9 * max(1.0, abs(r.real)) and r.real >= -1e-14:
+            out.append(max(float(r.real), 0.0))
+    out.sort()
+    dedup = []
+    for r in out:
+        if not dedup or abs(r - dedup[-1]) > 1e-11 * max(1.0, r):
+            dedup.append(r)
+    return dedup
+
+
+def _polish(fn, r: float, delta: float = 1e-9) -> float:
+    # one secant-style correction keeps closed-form roots at ~1e-13 residual
+    f0 = fn(r)
+    if f0 == 0.0:
+        return r
+    d = delta * max(1.0, abs(r))
+    f1 = fn(r + d)
+    if f1 == f0:
+        return r
+    step = f0 * d / (f1 - f0)
+    r2 = r - step
+    return r2 if r2 >= 0.0 and abs(fn(r2)) < abs(f0) else r
+
+
+def oracle_q_f(p):
+    qs = steady_state(p).nontrivial
+    gprime = lambda q: h_and_G(q, p).G_prime
+    return brentq(gprime, qs * 1e-9, qs, xtol=1e-15)
+
+
+def oracle_switch(p):
+    fhat = p.tau * p.f
+    bcoef = 2.0 - (p.s - 1.0) * fhat
+    disc = bcoef * bcoef - 4.0 * (1.0 + fhat)
+    if disc < 0.0:
+        return None
+    us = [(-bcoef - math.sqrt(disc)) / 2.0, (-bcoef + math.sqrt(disc)) / 2.0]
+    qs = [p.theta * math.exp(math.log(u) / p.s) for u in us if u > 0.0]
+    if not qs:
+        return None
+    ref = steady_state(p).nontrivial
+    if ref is None:
+        ref = p.theta
+    return min(qs, key=lambda q: abs(q - ref))
+
+
+def ensemble(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [random_valid_params(rng) for _ in range(n)]
+
+
+def nullcline_fn(p, given, value, x):
+    """The nullcline equation on an array x, as nullcline solves it."""
+    A = p.amplification
+    ths = p.theta**p.s
+    if given == "q_now":
+        level = (p.kappa + p.f * ths / (ths + value**p.s)) * value
+        return A * p.f * ths * x / (ths + x**p.s) - level
+    level = A * p.f * ths * value / (ths + value**p.s)
+    return (p.kappa + p.f * ths / (ths + x**p.s)) * x - level
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +180,77 @@ class TestNullcline:
         with pytest.raises(ValueError):
             slowman.nullcline(canard_params, "q_weird", 0.1)
 
+    def test_matches_polynomial_oracle_at_s2(self, canard_params, table1):
+        compared = 0
+        for p in [canard_params, table1] + [q.with_(s=2.0) for q in ensemble(300)]:
+            for value in p.theta * np.geomspace(0.05, 3.0, 10):
+                for given in ("q_now", "q_delayed"):
+                    got = slowman.nullcline(p, given, float(value))
+                    want = oracle_nullcline_s2(p, given, float(value))
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        assert abs(g - w) <= 1e-12 * w
+                        compared += 1
+        assert compared > 8000
+
+    def test_solution_count_matches_sign_changes(self):
+        # every sign change on a dense log grid is one returned solution;
+        # the scan over [0, 200*theta] in steps of 0.05*theta missed
+        # solutions beyond its end and pairs closer than its step.  Near
+        # s = 1 the delayed companion of q_now can lie beyond the grid; the
+        # residual test covers those
+        rng = np.random.default_rng(1)
+        for p in ensemble(300):
+            p = p.with_(s=float(rng.uniform(0.5, 4.0)))
+            grid = p.theta * np.geomspace(1e-12, 1e12, 40001)
+            for value in p.theta * np.geomspace(0.05, 3.0, 20):
+                for given in ("q_now", "q_delayed"):
+                    sols = slowman.nullcline(p, given, float(value))
+                    sign = np.sign(nullcline_fn(p, given, float(value), grid))
+                    changes = np.count_nonzero(sign[1:] != sign[:-1])
+                    inside = [x for x in sols if grid[0] < x < grid[-1]]
+                    assert len(inside) == changes, (p, given, value, sols)
+
+    def test_residuals_on_ensemble(self, canard_params, table1):
+        for p in [canard_params, table1] + ensemble(1000):
+            for value in p.theta * np.geomspace(0.05, 3.0, 5):
+                for y in slowman.nullcline(p, "q_now", float(value)):
+                    assert abs(rhs(float(value), y, p)) <= 1e-12 * p.f * p.theta
+                for q in slowman.nullcline(p, "q_delayed", float(value)):
+                    assert abs(rhs(q, float(value), p)) <= 1e-12 * p.f * p.theta
+
+    def test_unit_hill_bounded_tail(self, table1):
+        # at s = 1, A*h rises to A*f*theta and no further: one delayed
+        # companion while the loss stays below that bound, none above it
+        p = table1.with_(s=1.0)
+        bound = p.amplification * p.f * p.theta
+        for value in p.theta * np.geomspace(0.05, 1e3, 30):
+            loss = (p.kappa + p.f * p.theta / (p.theta + value)) * value
+            sols = slowman.nullcline(p, "q_now", float(value))
+            assert len(sols) == (1 if loss < bound else 0)
+            for y in sols:
+                assert abs(rhs(float(value), y, p)) <= 1e-12 * p.f * p.theta
+            assert len(slowman.nullcline(p, "q_delayed", float(value))) == 1
+
+    def test_below_unit_hill(self, table1):
+        # h is increasing and unbounded: one companion on each side
+        p = table1.with_(s=0.5)
+        for value in p.theta * np.geomspace(0.05, 1e3, 30):
+            (y,) = slowman.nullcline(p, "q_now", float(value))
+            assert abs(rhs(float(value), y, p)) <= 1e-12 * p.f * p.theta
+            (q,) = slowman.nullcline(p, "q_delayed", float(value))
+            assert abs(rhs(q, float(value), p)) <= 1e-12 * p.f * p.theta
+
+    def test_solution_at_turning_point_is_single(self):
+        # kappa = A - 1 with theta = 1, f = 2, s = 2 puts Q* on the flux
+        # peak Q_h = 1, where A*h touches the loss line from below: the
+        # touching point is one solution, and it is exact
+        A = 2.0 * math.exp(-0.1 * 2.8)
+        p = ModelParams(kappa=A - 1.0, gamma=0.1, tau=2.8, theta=1.0,
+                        f=2.0, s=2.0)
+        assert slowman.nullcline(p, "q_now", 1.0) == [1.0]
+        assert oracle_nullcline_s2(p, "q_now", 1.0) == [pytest.approx(1.0)]
+
 
 class TestNaiveManifold:
     def test_fixed_points(self, canard_params):
@@ -121,6 +286,53 @@ class TestLandmarks:
     def test_gap_brackets_steady_state(self, marks):
         lo, hi = marks.gap
         assert lo < marks.Q_star < hi
+
+    def test_matches_search_oracles(self, canard_params, table1):
+        for p in [canard_params, table1] + ensemble(1000):
+            marks = slowman.landmarks(p)
+            assert abs(marks.Q_f - oracle_q_f(p)) <= 1e-12 * marks.Q_f
+            want = oracle_switch(p)
+            if want is None:
+                assert marks.switch is None
+            else:
+                assert abs(marks.switch - want) <= 1e-12 * want
+
+    def test_defining_identities(self, canard_params, table1):
+        for p in [canard_params, table1] + ensemble(1000):
+            marks = slowman.landmarks(p)
+            hp = lambda q: h_and_G(q, p).h_prime
+            assert abs(hp(marks.Q_f) - p.kappa / (p.amplification - 1.0)) \
+                <= 1e-14 * p.f
+            assert abs(hp(marks.Q_h)) <= 1e-14 * p.f
+            if marks.switch is not None:
+                assert abs(hp(marks.switch) + 1.0 / p.tau) <= 1e-14 * p.f
+
+    def test_shallow_coalescence_level(self):
+        # W_0(x0)/tau is about -1e-16 here; the bracketed search for the
+        # gap's left end raised "f(a) and f(b) must have different signs"
+        p = ModelParams(kappa=4.458102956733756, gamma=0.011228125633118136,
+                        tau=7.768143476893467, theta=0.028032755060227444,
+                        f=10.399807089175754, s=2.141951793816236)
+        marks = slowman.landmarks(p)
+        assert marks.Q_f < marks.Q_h < marks.Q_star
+        assert marks.gap[0] == pytest.approx(marks.Q_h, rel=1e-12)
+
+    def test_underflowed_coalescence_argument(self):
+        # kappa*tau = 800 underflows x0 = -exp(-1 - kappa*tau)/A to -0.0
+        p = ModelParams(kappa=100.0, gamma=0.01, tau=8.0, theta=1.0,
+                        f=2000.0, s=2.0)
+        marks = slowman.landmarks(p)
+        assert marks.Q_star == pytest.approx(3.99, abs=5e-3)
+        assert marks.gap[0] == pytest.approx(marks.Q_h, rel=1e-15)
+        assert marks.gap[0] < marks.gap[1] < marks.Q_star < marks.rebound
+
+    def test_unit_and_sub_unit_hill(self, table1):
+        for s in (1.0, 0.5):
+            p = table1.with_(s=s)
+            marks = slowman.landmarks(p)
+            assert marks.Q_h is None and marks.switch is None
+            assert marks.gap == (None, None) and marks.rebound is None
+            assert abs(marks.Q_f - oracle_q_f(p)) <= 1e-12 * marks.Q_f
 
 
 class TestLinearizedManifold:
