@@ -17,7 +17,9 @@ from .model import ModelParams
 from .integrator import (History, Trajectory, StepSizeUnderflow, integrate,
                          find_extrema, find_level_crossings,
                          history_from_trajectory)
-from .variational import PerturbationBundle, integrate_variational, orthonormalize
+# integrate_variational is bound here so that perfbench/tracer.py can rebind it
+from .variational import (PerturbationBundle, _advance, _interval_weights,
+                          integrate_variational, orthonormalize)
 
 __all__ = [
     "PoincareCrossing",
@@ -348,13 +350,19 @@ def lyapunov_spectrum(p: ModelParams, history: History, m: int = 8,
 
     bundle = PerturbationBundle.seeded(p.tau, m, n_mesh, seed,
                                        t_head=grid.transient)
+    # interval heads by the sequential additions head + n_steps*h of the
+    # per-interval path (cumsum adds left to right), so the times match
+    h = bundle.step
+    n_steps = max(1, int(round(interval / h)))
+    heads = np.cumsum([bundle.t_head] + [n_steps * h] * (n_warm + n_acc))
     logs = np.zeros(m)
     times = np.empty(n_acc)
     hist = np.empty((n_acc, m))
-    for k in range(n_warm + n_acc):
-        span = (bundle.t_head, bundle.t_head + interval)
-        bundle, _ = integrate_variational(traj, bundle, span)
-        bundle, growth = orthonormalize(bundle)
+    rows = _interval_weights(traj, heads[:-1], h, n_steps)
+    for k, weights in enumerate(rows):
+        cols = _advance(bundle.columns, weights, n_mesh)
+        bundle, growth = orthonormalize(
+            PerturbationBundle(bundle.offsets, cols, heads[k + 1], p.tau))
         if k >= n_warm:
             with np.errstate(divide="ignore"):
                 logs += np.log(growth)

@@ -590,7 +590,15 @@ def _execute(command: str, cfg: dict, run: _Run,
     return code
 
 
-def main(argv=None) -> int:
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later ``main()`` call of the process (parsing does not change it)."""
+    global _PARSER
+    if _PARSER is not None:
+        return _PARSER
     parser = argparse.ArgumentParser(
         prog="hsclab",
         description="Numerical laboratory for the stem-cell delay model")
@@ -602,6 +610,12 @@ def main(argv=None) -> int:
     runp.add_argument("preset")
     _common_args(runp)
     sub.add_parser("presets", help="list the preset catalog as JSON")
+    _PARSER = parser
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.command is None:

@@ -445,6 +445,13 @@ def _load_kernel():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
+            # builds of earlier sources; another process may still use one
+            for stale in _KERNEL_CACHE.glob("kernel-*.so"):
+                if stale != path:
+                    try:
+                        stale.unlink()
+                    except OSError:
+                        pass
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.SubprocessError):
         return None

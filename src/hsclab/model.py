@@ -199,20 +199,56 @@ class HGValues(NamedTuple):
     G_prime: float
 
 
+def _hill(Q, p: ModelParams, ths: float):
+    """h, h' and (theta^s + Q^s)^2, the denominator of h', in closed form."""
+    qs = Q**p.s
+    den = ths + qs
+    den2 = den**2
+    return p.f * ths * Q / den, p.f * ths * (ths + (1.0 - p.s) * qs) / den2, den2
+
+
+def _hill_far(Q: np.ndarray, p: ModelParams):
+    """h and h' in r = theta/Q, for Q where (theta^s + Q^s)^2 overflows."""
+    with np.errstate(divide="ignore"):  # r = 0 at Q = inf when s < 1
+        r = p.theta / Q
+        rs = r**p.s
+        return (p.f * p.theta * r**(p.s - 1.0) / (1.0 + rs),
+                p.f * rs * (1.0 - p.s + rs) / (1.0 + rs)**2)
+
+
 def h_and_G(Q, p: ModelParams) -> HGValues:
     """Cycle-entry flux h(Q) = Q*beta(Q), net drift G(Q) = (A-1)h(Q) - kappa*Q,
     and their derivatives in closed form.
 
     G vanishes exactly at the steady states; its sign is the sign of Q'.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays.  Where (theta^s + Q^s)^2 leaves the double
+    range, h and h' are taken in r = theta/Q instead,
+
+        h = f*theta*r^(s-1)/(1 + r^s),  h' = f*r^s*(1 - s + r^s)/(1 + r^s)^2,
+
+    which stay finite and reach the limits at Q = inf: h -> 0 for s > 1 and
+    f*theta at s = 1, h' -> 0.
     """
-    if np.any(np.asarray(Q) < 0):
-        raise ValueError("concentration must be nonnegative")
     ths = p.theta**p.s
-    qs = Q**p.s
-    den = ths + qs
-    h = p.f * ths * Q / den
-    h_prime = p.f * ths * (ths + (1.0 - p.s) * qs) / den**2
+    if type(Q) in (float, int):  # Python scalars: no array round trip
+        if Q < 0:
+            raise ValueError("concentration must be nonnegative")
+        try:
+            h, h_prime, den2 = _hill(Q, p, ths)
+        except OverflowError:  # Python's pow raises where numpy's warns
+            den2 = math.inf
+        if den2 == math.inf:
+            h, h_prime = (x.item() for x in _hill_far(np.array(Q, float), p))
+    else:
+        if np.any(np.asarray(Q) < 0):
+            raise ValueError("concentration must be nonnegative")
+        with np.errstate(all="ignore"):
+            h, h_prime, den2 = _hill(Q, p, ths)
+            far = np.isinf(den2)
+            if np.any(far):
+                h_far, hp_far = _hill_far(np.asarray(Q, dtype=float), p)
+                h = np.where(far, h_far, h)[()]
+                h_prime = np.where(far, hp_far, h_prime)[()]
     A = p.amplification
     G = (A - 1.0) * h - p.kappa * Q
     G_prime = (A - 1.0) * h_prime - p.kappa

@@ -124,20 +124,28 @@ def nullcline(p: ModelParams, given: str, value: float) -> list[float]:
     the turning points (model.h_prime_level) the equation is monotone: each
     piece whose ends differ in sign is solved by brentq, and the unbounded
     last piece is widened by doubling while the function keeps its sign and
-    still approaches zero (the tail of h is bounded at s = 1).  A solution
+    still approaches zero (the tail of h is bounded at s = 1), up to the top
+    of the double range, where h is its limit (model.h_and_G).  A solution
     at a turning point is returned once.
     """
     if value < 0.0:
         raise ValueError("concentrations are nonnegative")
     A = p.amplification
     ths = p.theta**p.s
+
+    def flux(q):
+        try:
+            return p.f * ths * q / (ths + q**p.s)
+        except OverflowError:  # q**s beyond the double range
+            return h_and_G(q, p).h
+
     if given == "q_now":
-        level = (p.kappa + p.f * ths / (ths + value**p.s)) * value
-        fn = lambda y: A * p.f * ths * y / (ths + y**p.s) - level
+        level = p.kappa * value + flux(value)
+        fn = lambda y: A * flux(y) - level
         turns = h_prime_level(0.0, p)
     elif given == "q_delayed":
-        level = A * p.f * ths * value / (ths + value**p.s)
-        fn = lambda q: (p.kappa + p.f * ths / (ths + q**p.s)) * q - level
+        level = A * flux(value)
+        fn = lambda q: p.kappa * q + flux(q) - level
         turns = h_prime_level(-p.kappa, p)
     else:
         raise ValueError("given must be 'q_now' or 'q_delayed'")
@@ -152,13 +160,10 @@ def nullcline(p: ModelParams, given: str, value: float) -> list[float]:
     a, fa = ends[-1], vals[-1]
     if fa != 0.0:
         b = max(2.0 * a, p.theta)
-        try:
+        fb = fn(b)
+        while 0.0 < fb / fa < 1.0:  # same sign, still approaching zero
+            a, fa, b = b, fb, min(2.0 * b, math.nextafter(math.inf, 0.0))
             fb = fn(b)
-            while 0.0 < fb / fa < 1.0:  # same sign, still approaching zero
-                a, fa, b = b, fb, 2.0 * b
-                fb = fn(b)
-        except OverflowError:  # b**s leaves the double range first
-            fb = math.nan
         if fb / fa <= 0.0:
             roots.append(brentq(fn, a, b, xtol=_XTOL))
     return sorted(roots)

@@ -20,7 +20,10 @@ Farmer, Physica D 4 (1982) 366, on spectra of a discretised delay
 equation).  Longer spans are solved chunk by chunk.
 
 Periodic QR re-orthonormalisation of the bundle supplies the growth factors
-that Lyapunov estimates average.
+that Lyapunov estimates average.  A Lyapunov run builds the coefficient
+tables of all its intervals before advancing, a block of intervals per
+base-trajectory read (``_interval_weights``); they are the tables
+``integrate_variational`` builds for one interval.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ __all__ = ["PerturbationBundle", "integrate_variational", "orthonormalize"]
 _W_MID = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 # one-sided variant for the very first step (nodes 0..3, evaluated at 0.5)
 _W_EDGE = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
+# intervals per coefficient-table block in ``_interval_weights``: at 33 steps
+# per interval a block reads the base trajectory at 8576 times, about 1 MB of
+# temporaries; 64 to 512 ran equally fast, and the temporaries grow with it
+_BLOCK = 64
 
 
 @dataclass
@@ -97,15 +104,28 @@ def orthonormalize(bundle: PerturbationBundle) -> tuple[PerturbationBundle, np.n
             np.abs(d))
 
 
-def _coeff_tables(traj: Trajectory, t0: float, h: float, n_steps: int):
-    """alpha, beta at the RK4 stage times (half-grid) of n_steps steps."""
+def _coeff_tables(traj: Trajectory, heads, h: float, n_steps: int):
+    """alpha, beta at the RK4 stage times (half-grid) of n_steps steps from
+    each head time: shape (2*n_steps+1,) for a scalar head, (K, 2*n_steps+1)
+    for K heads."""
     p = traj.params
-    times = t0 + 0.5 * h * np.arange(2 * n_steps + 1)
-    q = np.maximum(traj(np.concatenate([times, times - p.tau])), 0.0)
+    times = (np.asarray(heads, dtype=float)[..., None]
+             + 0.5 * h * np.arange(2 * n_steps + 1))
+    q = np.maximum(traj(np.concatenate([times, times - p.tau], axis=-1)), 0.0)
     h_prime = h_and_G(q, p).h_prime
-    alpha = -(p.kappa + h_prime[: times.size])
-    beta = p.amplification * h_prime[times.size:]
+    alpha = -(p.kappa + h_prime[..., : times.shape[-1]])
+    beta = p.amplification * h_prime[..., times.shape[-1]:]
     return alpha, beta
+
+
+def _interval_weights(traj: Trajectory, heads: np.ndarray, h: float,
+                      n_steps: int):
+    """Step weights (g, u0, um, u1) of the n_steps steps from each head time,
+    yielded one interval at a time.  The tables are built for ``_BLOCK``
+    intervals at once, so memory stays bounded on long runs."""
+    for b in range(0, len(heads), _BLOCK):
+        alpha, beta = _coeff_tables(traj, heads[b:b + _BLOCK], h, n_steps)
+        yield from zip(*_step_weights(alpha, beta, h))
 
 
 def integrate_variational(traj: Trajectory, bundle: PerturbationBundle,
@@ -128,8 +148,9 @@ def integrate_variational(traj: Trajectory, bundle: PerturbationBundle,
     if t_end > traj.t_end + 1e-9 or t0 - bundle.tau < -traj.params.tau - 1e-9:
         raise ValueError("base trajectory does not cover the requested span")
 
-    n = bundle.n_mesh
-    cols = _advance(traj, bundle.columns, t0, h, n_steps, n)
+    alpha, beta = _coeff_tables(traj, t0, h, n_steps)
+    cols = _advance(bundle.columns, _step_weights(alpha, beta, h),
+                    bundle.n_mesh)
     out = PerturbationBundle(bundle.offsets, cols, t_end, bundle.tau)
     return out, out.norms()
 
@@ -139,10 +160,11 @@ def _step_weights(alpha, beta, h):
 
     The stage values k1..k4 are linear in the head value w and the delayed
     reads wd0, wdm, wd1 with scalar coefficients shared by every column, so
-    each weight is a vector over the steps.
+    each weight is a vector over the steps (the last axis; leading axes
+    index intervals).
     """
-    a0, am, a1 = alpha[:-1:2], alpha[1::2], alpha[2::2]
-    b0, bm, b1 = beta[:-1:2], beta[1::2], beta[2::2]
+    a0, am, a1 = alpha[..., :-1:2], alpha[..., 1::2], alpha[..., 2::2]
+    b0, bm, b1 = beta[..., :-1:2], beta[..., 1::2], beta[..., 2::2]
     hh = 0.5 * h
     h6 = h / 6.0
     # k_i = c_i*w + d_i*wd0 + e_i*wdm (+ b1*wd1 in k4);
@@ -162,9 +184,11 @@ def _step_weights(alpha, beta, h):
     return g, u0, um, u1
 
 
-def _advance(traj, columns, t0, h, n_steps, n):
-    alpha, beta = _coeff_tables(traj, t0, h, n_steps)
-    g, u0, um, u1 = (x[:, None] for x in _step_weights(alpha, beta, h))
+def _advance(columns, weights, n):
+    """Advance the (n+1, m) columns by one interval of steps with the given
+    step weights (g, u0, um, u1), each a vector over the steps."""
+    g, u0, um, u1 = (x[:, None] for x in weights)
+    n_steps = g.shape[0]
     w_buf = np.empty((n + 1 + n_steps, columns.shape[1]))
     w_buf[: n + 1] = columns
     # steps [s, e) with e - s <= n - 1 read only rows stored before step s,

@@ -20,6 +20,68 @@ def run_cli(tmp_path, command, cfg, *extra):
     return main(args)
 
 
+_COMMANDS = ("{steady,stability,roots,hopf,simulate,embed,poincare,sweep,"
+             "lyapunov,slowman,run,presets}")
+_USAGE = f"""usage: hsclab [-h]
+              {_COMMANDS}
+              ...
+"""
+_HELP = _USAGE + f"""
+Numerical laboratory for the stem-cell delay model
+
+positional arguments:
+  {_COMMANDS}
+    steady              run the steady command
+    stability           run the stability command
+    roots               run the roots command
+    hopf                run the hopf command
+    simulate            run the simulate command
+    embed               run the embed command
+    poincare            run the poincare command
+    sweep               run the sweep command
+    lyapunov            run the lyapunov command
+    slowman             run the slowman command
+    run                 run a named preset
+    presets             list the preset catalog as JSON
+
+options:
+  -h, --help            show this help message and exit
+"""
+_LYAPUNOV_HELP = """usage: hsclab lyapunov [-h] [--config CONFIG] [--preset PRESET]
+                       [--set PATH=VALUE] [--out OUT] [--outdir OUTDIR]
+
+options:
+  -h, --help        show this help message and exit
+  --config CONFIG   JSON configuration file
+  --preset PRESET   start from a named preset config
+  --set PATH=VALUE  override a config key (dotted path, JSON value)
+  --out OUT         output file prefix
+  --outdir OUTDIR   output directory (or $HSCLAB_OUTDIR, default '.')
+"""
+
+
+class TestParserOutput:
+    """Help texts, the bare call and usage errors, pinned at 80 columns.
+    Each case runs twice, so a parser kept between calls must not drift."""
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["--help"], 0, _HELP, ""),
+        (["lyapunov", "--help"], 0, _LYAPUNOV_HELP, ""),
+        ([], 2, _HELP, ""),
+        (["lyapunov", "--no-such-flag"], 2, "",
+         _USAGE + "hsclab: error: unrecognized arguments: --no-such-flag\n"),
+    ], ids=["help", "lyapunov-help", "bare", "unknown-flag"])
+    def test_pinned(self, monkeypatch, capsys, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(2):
+            try:
+                got = main(list(argv))
+            except SystemExit as exc:
+                got = exc.code
+            assert got == code
+            assert capsys.readouterr() == (out, err)
+
+
 class TestConfigValidation:
     def test_both_param_sources_rejected(self, tmp_path, capsys):
         cfg = dict(TABLE1_CFG)
@@ -205,8 +267,6 @@ class TestNumericalEdges:
     @pytest.mark.parametrize("command, section", [
         ("simulate", {"simulate": {"t_end": 20.0, "history": {
             "kind": "constant", "value": 1e200}}}),
-        ("stability", {"stability": {"at": 1e300}}),
-        ("roots", {"roots": {"at": 1e300}}),
     ])
     def test_overflow_is_numerical_error(self, tmp_path, capsys, command,
                                          section):
@@ -214,6 +274,22 @@ class TestNumericalEdges:
         assert run_cli(tmp_path, command, dict(TABLE1_CFG, **section)) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "numerical"
+
+    @pytest.mark.parametrize("command", ["stability", "roots"])
+    def test_far_point_linearises_to_the_limit(self, tmp_path, command):
+        # h' at Q = 1e300 is finite (about -1e-600, so -0.0): the equation
+        # linearises to w' = -kappa*w, whose one root is -kappa.  These
+        # inputs exited 3 while (theta^s + Q^s)^2 overflowed
+        cfg = dict(TABLE1_CFG, **{command: {"at": 1e300}})
+        assert run_cli(tmp_path, command, cfg, "--out", "far") == 0
+        kappa = cli.resolve_params(TABLE1_CFG).kappa
+        if command == "stability":
+            out = json.loads((tmp_path / "far_stability.json").read_text())
+            assert out["a"] == -kappa and out["b"] == 0.0
+            assert out["state"] == "stable"
+        else:
+            rows = (tmp_path / "far_roots.csv").read_text().splitlines()[1:]
+            assert rows == [f"{-kappa!r},0.0,0.0,real"]
 
     def test_trivial_state_roots_far_left(self, tmp_path, capsys):
         # the root cap is about -5.22, so the default re_min = -5/tau leaves

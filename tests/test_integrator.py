@@ -561,6 +561,20 @@ class TestKernelBuild:
         assert integrator._kernel() is not None
         assert [f.suffix for f in fresh_build.iterdir()] == [".so"]
 
+    def test_build_prunes_stale_libraries(self, fresh_build):
+        if shutil.which(integrator._CC) is None:
+            pytest.skip(f"no {integrator._CC} on PATH")
+        fresh_build.mkdir()
+        (fresh_build / "kernel-0123456789abcdef.so").write_bytes(b"old")
+        # one that cannot be removed does not stop the build
+        (fresh_build / "kernel-fedcba9876543210.so").mkdir()
+        (fresh_build / "notes.txt").write_text("kept")
+        assert integrator._kernel() is not None
+        left = sorted(f.name for f in fresh_build.iterdir())
+        assert len(left) == 3 and left[2] == "notes.txt"
+        assert "kernel-fedcba9876543210.so" in left
+        assert "kernel-0123456789abcdef.so" not in left
+
     def test_read_mismatch_disables_kernel(self, monkeypatch, kernel):
         at = History.at
         monkeypatch.setattr(History, "at",

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -162,6 +163,71 @@ class TestHAndG:
             fd_g = (h_and_G(q + d, table1).G - h_and_G(q - d, table1).G) / (2 * d)
             assert hv.h_prime == pytest.approx(fd_h, rel=1e-6, abs=1e-8)
             assert hv.G_prime == pytest.approx(fd_g, rel=1e-6, abs=1e-8)
+
+
+def _h_and_G_unguarded(Q, p):
+    """Reference: the closed forms without the far-range branch."""
+    ths = p.theta**p.s
+    qs = Q**p.s
+    den = ths + qs
+    h = p.f * ths * Q / den
+    h_prime = p.f * ths * (ths + (1.0 - p.s) * qs) / den**2
+    A = p.amplification
+    return h, h_prime, (A - 1.0) * h - p.kappa * Q, (A - 1.0) * h_prime - p.kappa
+
+
+class TestHAndGRange:
+    def test_in_range_bits_unchanged_on_ensemble(self, table1):
+        rng = np.random.default_rng(4)
+        params = [table1, table1.with_(s=1.0), table1.with_(s=0.5)]
+        params += [random_valid_params(rng) for _ in range(200)]
+        for p in params:
+            q = p.theta * np.concatenate([[0.0], np.geomspace(1e-12, 1e30, 301)])
+            assert np.array_equal(np.array(h_and_G(q, p)),
+                                  np.array(_h_and_G_unguarded(q, p)))
+            for x in q[::30]:
+                assert tuple(h_and_G(float(x), p)) == \
+                    _h_and_G_unguarded(float(x), p)
+
+    def test_beyond_double_range_is_finite(self, table1):
+        # Q**s leaves the double range: the scalar used to raise
+        # OverflowError and the array form gave h' = nan
+        q = 1.73e155
+        with pytest.raises(OverflowError):
+            _h_and_G_unguarded(q, table1)
+        hv = h_and_G(q, table1)
+        assert all(math.isfinite(x) for x in hv)
+        # h = f*theta^2/Q and h' = -f*theta^2/Q^2 to double precision at s = 2
+        r = table1.theta / q
+        assert hv.h == pytest.approx(table1.f * table1.theta * r, rel=1e-15)
+        assert hv.h_prime == pytest.approx(-table1.f * r * r, rel=1e-12)
+        arr = h_and_G(np.array([1.0, q]), table1)
+        assert arr.h[1] == hv.h and arr.h_prime[1] == hv.h_prime
+        assert arr.h[0] == h_and_G(1.0, table1).h
+
+    def test_limits_at_infinity(self, table1):
+        for s in (1.2, 2.0, 4.0):
+            hv = h_and_G(math.inf, table1.with_(s=s))
+            assert hv.h == 0.0 and hv.h_prime == 0.0
+        p = table1.with_(s=1.0)
+        for q in (1e160, 1e300, math.inf):
+            hv = h_and_G(q, p)
+            assert hv.h == p.f * p.theta
+            assert hv.h_prime == pytest.approx(p.f * (p.theta / q)**2,
+                                               rel=1e-15, abs=1e-320)
+
+    def test_far_branch_continues_the_closed_forms(self):
+        # on either side of the switch to r = theta/Q the values agree
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            p = random_valid_params(rng)
+            edge = math.sqrt(sys.float_info.max)**(1.0 / p.s)
+            q = edge * np.geomspace(0.5, 2.0, 41)
+            hv = h_and_G(q, p)
+            assert np.all(np.isfinite(hv.h)) and np.all(np.isfinite(hv.h_prime))
+            assert np.all(np.diff(hv.h) < 0) and np.all(hv.h_prime < 0)
+            u_inv = (p.theta / q)**p.s
+            np.testing.assert_allclose(hv.h, p.f * q * u_inv, rtol=1e-13)
 
 
 class TestHPrimeLevel:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from scipy.optimize import brentq
 
 from hsclab import chareq, slowman
-from hsclab.model import ModelParams, h_and_G, rhs, steady_state
+from hsclab.model import (ModelParams, h_and_G, h_prime_level, rhs,
+                          steady_state)
 from conftest import assert_printed, random_valid_params
 
 
@@ -231,6 +233,42 @@ class TestNullcline:
             for y in sols:
                 assert abs(rhs(float(value), y, p)) <= 1e-12 * p.f * p.theta
             assert len(slowman.nullcline(p, "q_delayed", float(value))) == 1
+
+    def test_far_companion_beyond_the_square_range(self, table1):
+        # a tiny q_now puts its delayed companion near A*f*theta^2/level,
+        # where y**2 leaves the double range; the doubling used to stop on
+        # that OverflowError and lose the companion
+        p = table1
+        for value in (1e-300, 1e-200):
+            near, far = slowman.nullcline(p, "q_now", value)
+            assert near < p.theta < 1e154 < far < sys.float_info.max
+            level = p.kappa * value + h_and_G(value, p).h
+            assert abs(p.amplification * h_and_G(far, p).h - level) \
+                <= 1e-12 * level
+
+    def test_doubling_ends_on_the_limit(self, table1, monkeypatch):
+        # just above s = 1, A*h decays so slowly past its peak that it stays
+        # above this level up to the largest double: the doubling stops
+        # there, on the far form of h, where it used to step to infinity and
+        # stop on a NaN
+        p = table1.with_(s=1.0 + 1e-6)
+        big = sys.float_info.max
+        value = 1.0
+        level = p.kappa * value + h_and_G(value, p).h
+        (turn,) = h_prime_level(0.0, p)
+        A = p.amplification
+        assert A * h_and_G(turn, p).h > A * h_and_G(big, p).h > level
+        seen = []
+        real = slowman.h_and_G
+
+        def recorded(q, params):
+            seen.append(q)
+            return real(q, params)
+
+        monkeypatch.setattr(slowman, "h_and_G", recorded)
+        (y,) = slowman.nullcline(p, "q_now", value)
+        assert y < turn
+        assert seen and set(seen) == {big}
 
     def test_below_unit_hill(self, table1):
         # h is increasing and unbounded: one companion on each side

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from hsclab import chareq
-from hsclab.analysis import lyapunov_spectrum
-from hsclab.integrator import History, integrate
-from hsclab.model import h_and_G, steady_state
+from hsclab import chareq, variational
+from hsclab.analysis import (LyapunovSpectrum, lyapunov_span,
+                             lyapunov_spectrum)
+from hsclab.integrator import History, Trajectory, integrate
+from hsclab.model import ModelParams, h_and_G, steady_state
 from hsclab.variational import (_W_EDGE, _W_MID, PerturbationBundle,
-                                _coeff_tables, integrate_variational,
+                                _coeff_tables, _interval_weights,
+                                _step_weights, integrate_variational,
                                 orthonormalize)
 
 
@@ -46,6 +48,62 @@ def _advance(traj, columns, t0, h, n_steps, n):
         k4 = a1 * (w + h * k3) + b1 * wd1
         w_buf[head + 1] = w + h6 * (k1 + 2.0 * (k2 + k3) + k4)
     return w_buf[n_steps:].copy()
+
+
+def _lyapunov_per_interval(p: ModelParams, history: History, m: int = 8,
+                           horizon: float = 30_000.0, reorth: float = 1.0, *,
+                           transient: float = 2000.0, bundle_warmup: float = 200.0,
+                           n_mesh: int = 128, seed: int = 0,
+                           rtol: float = 1e-9, atol: float = 1e-12,
+                           base: Trajectory | None = None) -> LyapunovSpectrum:
+    """Reference: lyapunov_spectrum with one integrate_variational call per
+    re-orthonormalisation interval (the oracle of the whole-run tables)."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    grid = lyapunov_span(p, horizon, reorth, transient=transient,
+                         bundle_warmup=bundle_warmup, n_mesh=n_mesh)
+    interval, n_warm, n_acc = grid.interval, grid.n_warm, grid.n_acc
+    if base is not None:
+        if base.params != p or base.t_end < grid.t_end - 1e-9:
+            raise ValueError("supplied base trajectory does not cover the run")
+        traj = base
+    else:
+        traj = integrate(p, history, grid.t_end, rtol=rtol, atol=atol)
+
+    bundle = PerturbationBundle.seeded(p.tau, m, n_mesh, seed,
+                                       t_head=grid.transient)
+    logs = np.zeros(m)
+    times = np.empty(n_acc)
+    hist = np.empty((n_acc, m))
+    for k in range(n_warm + n_acc):
+        span = (bundle.t_head, bundle.t_head + interval)
+        bundle, _ = integrate_variational(traj, bundle, span)
+        bundle, growth = orthonormalize(bundle)
+        if k >= n_warm:
+            with np.errstate(divide="ignore"):
+                logs += np.log(growth)
+            i = k - n_warm
+            elapsed = (i + 1) * interval
+            times[i] = elapsed
+            hist[i] = logs / elapsed
+    T = float(times[-1])
+    finals = hist[-1]
+    i10 = min(max(int(np.searchsorted(times, T / 10.0)), 0), n_acc - 1)
+    drifts = np.abs(finals - hist[i10])
+    flags = drifts > 0.1 * np.abs(finals) + 1e-4
+    order = np.argsort(-finals, kind="stable")
+    return LyapunovSpectrum(
+        exponents=tuple(float(x) for x in finals[order]),
+        horizon=T,
+        times=times,
+        history=hist,
+        drifts=tuple(float(x) for x in drifts[order]),
+        unconverged=tuple(bool(x) for x in flags[order]),
+        settings={"m": m, "n_mesh": n_mesh, "reorth": interval,
+                  "transient": grid.transient,
+                  "bundle_warmup": n_warm * interval,
+                  "seed": seed, "rtol": rtol, "atol": atol},
+    )
 
 
 class TestBundle:
@@ -151,6 +209,82 @@ class TestRecurrenceAgainstLoop:
         assert np.array_equal(alpha, -(p.kappa + h_and_G(q_now, p).h_prime))
         assert np.array_equal(beta,
                               p.amplification * h_and_G(q_del, p).h_prime)
+
+
+class TestWholeRunTables:
+    """The blocked whole-run tables reproduce the per-interval path."""
+
+    @pytest.mark.parametrize("base", ["chaos_traj", "steady_traj"])
+    @pytest.mark.parametrize("kw", [
+        dict(m=4, horizon=400.0, transient=50.0, bundle_warmup=20.0),
+        dict(m=3, horizon=150.0, transient=50.0, bundle_warmup=0.0, n_mesh=32),
+        # over 1500 short intervals (3 to 5 steps) in some 25 table blocks
+        dict(m=3, horizon=150.0, reorth=0.1, transient=50.0,
+             bundle_warmup=20.0, seed=5),
+    ])
+    def test_matches_per_interval_oracle(self, request, base, kw):
+        traj = request.getfixturevalue(base)
+        p = traj.params
+        got = lyapunov_spectrum(p, traj.history, base=traj, **kw)
+        want = _lyapunov_per_interval(p, traj.history, base=traj, **kw)
+        assert np.array_equal(got.history, want.history)
+        assert np.array_equal(got.times, want.times)
+        assert got.exponents == want.exponents
+        assert got.drifts == want.drifts
+        assert got.unconverged == want.unconverged
+        assert got.settings == want.settings
+
+    def test_small_blocks_match_oracle(self, chaos_traj, monkeypatch):
+        # a block size that does not divide the interval count
+        monkeypatch.setattr(variational, "_BLOCK", 7)
+        kw = dict(m=5, horizon=100.0, transient=30.0, bundle_warmup=4.0)
+        p = chaos_traj.params
+        got = lyapunov_spectrum(p, chaos_traj.history, base=chaos_traj, **kw)
+        want = _lyapunov_per_interval(p, chaos_traj.history, base=chaos_traj,
+                                      **kw)
+        assert np.array_equal(got.history, want.history)
+        assert got.drifts == want.drifts
+
+    def test_tables_read_once_per_block(self, chaos_traj, monkeypatch):
+        # the interval loop itself reads neither the base nor h'
+        monkeypatch.setattr(variational, "_BLOCK", 16)
+        calls = {"traj": 0, "h_and_G": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(Trajectory, "__call__",
+                            counted("traj", Trajectory.__call__))
+        monkeypatch.setattr(variational, "h_and_G",
+                            counted("h_and_G", variational.h_and_G))
+        p = chaos_traj.params
+        spec = lyapunov_spectrum(p, chaos_traj.history, m=2, horizon=100.0,
+                                 transient=30.0, bundle_warmup=0.0,
+                                 base=chaos_traj)
+        n_blocks = -(-spec.history.shape[0] // 16)
+        assert calls == {"traj": n_blocks, "h_and_G": n_blocks}
+
+    def test_block_tables_match_per_interval_tables(self, chaos_traj,
+                                                    monkeypatch):
+        monkeypatch.setattr(variational, "_BLOCK", 4)
+        p = chaos_traj.params
+        h, n_steps = p.tau / 128, 33
+        heads = np.empty(11)
+        heads[0] = 300.0
+        for k in range(10):
+            heads[k + 1] = heads[k] + n_steps * h
+        alpha, beta = _coeff_tables(chaos_traj, heads, h, n_steps)
+        assert alpha.shape == beta.shape == (11, 2 * n_steps + 1)
+        rows = list(_interval_weights(chaos_traj, heads, h, n_steps))
+        assert len(rows) == 11
+        for k, t0 in enumerate(heads):
+            a1, b1 = _coeff_tables(chaos_traj, float(t0), h, n_steps)
+            assert np.array_equal(alpha[k], a1) and np.array_equal(beta[k], b1)
+            for got, want in zip(rows[k], _step_weights(a1, b1, h)):
+                assert np.array_equal(got, want)
 
 
 class TestLyapunovSmall:
