@@ -1,4 +1,5 @@
-/* Compiled method-of-steps loop of hsclab.integrator.integrate.
+/* Compiled method-of-steps loop of hsclab.integrator.integrate, and the
+ * event-root search of its find_extrema and find_level_crossings.
  *
  * A port of integrator._python_loop for adaptive runs: the same Dormand-Prince
  * 5(4) step, error control, forced stops, quartic dense output and delayed
@@ -7,8 +8,10 @@
  * arithmetic as written: build with -ffp-contract=off (no fused multiply-add)
  * and never with a flag that relaxes IEEE semantics.  History reads are
  * native: the cosine layout through libm cos, the spline by scipy's PPoly
- * rules.
+ * rules.  The event roots (at the end) equal their Python port bit for bit
+ * under the same build flags.
  */
+#include <float.h>
 #include <math.h>
 #include <stdlib.h>
 
@@ -222,4 +225,122 @@ int hsc_integrate(const double *model, const double *cosine, const double *x,
     *n = r.n;
     *t_fail = t;
     return status;
+}
+
+/* ------------------------------------------------------------------------
+ * Event roots of integrator.find_extrema and find_level_crossings, ported
+ * line by line by integrator._python_event_roots.  Both isolate the real
+ * roots of a polynomial in [0, 1) between its critical points, found the
+ * same way on its derivative down to the closed-form linear case, and bisect
+ * each sign change down to adjacent doubles.
+ */
+
+enum { EXTREMA = 0, LEVEL = 1 };
+
+/* c[0] + x*(c[1] + ... + x*c[d]), the order numpy's polyval takes */
+static double horner(const double *c, int d, double x)
+{
+    double v = c[d];
+    for (int k = d - 1; k >= 0; k--) v = c[k] + x * v;
+    return v;
+}
+
+/* the same sum over |c[k]|: Horner's rounding error is within d*eps of it */
+static double horner_abs(const double *c, int d, double x)
+{
+    double v = fabs(c[d]);
+    for (int k = d - 1; k >= 0; k--) v = fabs(c[k]) + x * v;
+    return v;
+}
+
+/* a root between a and b, where p(a) and p(b) are nonzero and of opposite
+ * sign: the end of the last bracket with the smaller |p|, below 1 */
+static double bisect(const double *c, int d, double a, double fa, double b, double fb)
+{
+    for (;;) {
+        double m = 0.5 * (a + b);
+        if (m <= a || m >= b) break;
+        double fm = horner(c, d, m);
+        if (fm == 0.0) return m;
+        if ((fm < 0.0) == (fa < 0.0)) { a = m; fa = fm; }
+        else { b = m; fb = fm; }
+    }
+    return fabs(fb) < fabs(fa) && b < 1.0 ? b : a;
+}
+
+/* The real roots in [0, 1) of c[0] + c[1]*x + ... + c[d]*x^d in ascending
+ * order; returns their number (at most d <= 4).  Trailing zero coefficients
+ * lower the degree, and a constant has none.  A critical point where |p| is
+ * within Horner's rounding error counts as a (multiple) root. */
+static int unit_roots(const double *c, int d, double *out)
+{
+    while (d > 0 && c[d] == 0.0) d--;
+    if (d == 0) return 0;
+    if (d == 1) {
+        double r = -c[0] / c[1];
+        if (!(r >= 0.0 && r < 1.0)) return 0;
+        out[0] = r == 0.0 ? 0.0 : r;
+        return 1;
+    }
+    double dc[4], crit[4], x[6], v[6];
+    int zero[6], m = 0, n = 0;
+    for (int k = 1; k <= d; k++) dc[k - 1] = c[k] * k;
+    int nc = unit_roots(dc, d - 1, crit);
+    x[m++] = 0.0;
+    for (int j = 0; j < nc; j++)
+        if (crit[j] > x[m - 1]) x[m++] = crit[j];
+    x[m++] = 1.0;
+    for (int j = 0; j < m; j++) {
+        v[j] = horner(c, d, x[j]);
+        zero[j] = v[j] == 0.0 || (j > 0 && j < m - 1
+                                  && fabs(v[j]) <= d * DBL_EPSILON * horner_abs(c, d, x[j]));
+    }
+    for (int j = 0; j < m - 1; j++) {
+        if (zero[j])
+            out[n++] = x[j];
+        else if (!zero[j + 1] && (v[j] < 0.0) != (v[j + 1] < 0.0))
+            out[n++] = bisect(c, d, x[j], v[j], x[j + 1], v[j + 1]);
+    }
+    return n;
+}
+
+/* np.maximum(1.0, a): NaN propagates */
+static double max1(double a) { return isnan(a) || a > 1.0 ? a : 1.0; }
+
+/* The event roots of n quartics (n, 5) in theta: segment index and theta of
+ * every root in [0, 1), by segment, then theta.  mode EXTREMA roots the
+ * derivative cubics k*c[k] of the segments that are not flat and pass
+ * |d1| <= |d2| + |d3| + |d4|; mode LEVEL roots the quartics less the level
+ * on the segments that move and pass |c0 - level| <= the sum of the other
+ * |c[k]|.  seg and theta hold 3n (EXTREMA) or 4n (LEVEL) entries; returns
+ * the number written. */
+long hsc_event_roots(const double *coefs, long n, int mode, double level,
+                     long long *seg, double *theta)
+{
+    long count = 0;
+    for (long i = 0; i < n; i++) {
+        const double *c = coefs + 5 * i;
+        double p[5], r[4], scale = 1e-13 * max1(fabs(c[0]));
+        int d;
+        if (mode == EXTREMA) {
+            for (int k = 0; k < 4; k++) p[k] = c[k + 1] * (k + 1.0);
+            double rest = fabs(p[1]) + fabs(p[2]) + fabs(p[3]);
+            if (fabs(p[0]) + fabs(p[1]) + fabs(p[2]) + fabs(p[3]) < scale
+                || !(fabs(p[0]) <= rest))
+                continue;
+            d = 3;
+        } else {
+            p[0] = c[0] - level;
+            for (int k = 1; k < 5; k++) p[k] = c[k];
+            double spread = fabs(p[1]) + fabs(p[2]) + fabs(p[3]) + fabs(p[4]);
+            if (!(spread >= scale) || !(fabs(p[0]) <= spread)) continue;
+            d = 4;
+        }
+        int k = unit_roots(p, d, r);
+        for (int j = 0; j < k; j++) {
+            seg[count] = i;
+            theta[count++] = r[j];
+        }
+    }
+    return count;
 }

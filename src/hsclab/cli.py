@@ -4,9 +4,10 @@ data exports.
 One JSON config document drives every command; flags override config keys
 via dotted paths (``--set lyapunov.horizon=30000``).  Each run writes its
 documented CSV/JSON data files plus a run-manifest JSON holding the fully
-resolved configuration and version stamps.  Every setting has one row in a
-table of type, default and range, and each command checks its sections
-against it before computing anything.  Exit codes: 0 success, 2 config
+resolved configuration and version stamps, and for a command that
+integrates, whether the compiled kernel or the Python loop ran.  Every
+setting has one row in a table of type, default and range, and each command
+checks its sections against it before computing anything.  Exit codes: 0 success, 2 config
 error, 3 numerical failure, 4 unconverged result (data still written).
 """
 
@@ -28,7 +29,7 @@ from .analysis import (kaplan_yorke, lyapunov_span, lyapunov_spectrum,
                        orbit_diagram, poincare_section, delay_embedding)
 from .chareq import IncompleteRootCoverageWarning
 from .integrator import (History, detect_events, history_from_trajectory,
-                         integrate)
+                         integrate, kernel_status)
 from .model import (ModelParams, derive_homeostasis, existence_bounds,
                     params_from_dict, params_to_dict, spec_from_dict,
                     steady_state)
@@ -520,6 +521,9 @@ def _cmd_slowman(cfg, p, run):
     return out, EXIT_OK
 
 
+# the commands that integrate: their manifests record the loop that ran
+_INTEGRATING = ("simulate", "embed", "poincare", "sweep", "lyapunov")
+
 _HANDLERS = {
     "steady": _cmd_steady,
     "stability": _cmd_stability,
@@ -583,6 +587,8 @@ def _execute(command: str, cfg: dict, run: _Run,
         },
         "wall_time_s": time.time() - started,
     }
+    if command in _INTEGRATING:
+        manifest["kernel"] = kernel_status()
     export.write_json(run.path("manifest.json"), manifest)
     if code == EXIT_UNCONVERGED:
         print(_error_json("unconverged", "result flagged unconverged; data "

@@ -8,6 +8,7 @@ files byte for byte.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 
@@ -39,6 +40,8 @@ NULLCLINE_HEADER = ["Q_now", "Q_delayed", "branch"]
 
 
 def fmt(x) -> str:
+    if type(x) is float:  # repr writes nan, inf and -inf as fmt always has
+        return repr(x)
     if isinstance(x, str):
         return x
     if isinstance(x, (bool, np.bool_)):
@@ -52,22 +55,37 @@ def fmt(x) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
+    """The header and one line per row, fields formatted by ``fmt``, bytes
+    exactly as ``csv.writer`` (lineterminator "\n") writes them."""
+    rows = list(rows)
+    text = "\n".join([",".join(header),
+                      *(",".join(map(fmt, row)) for row in rows), ""])
+    n_lines = len(rows) + 1
+    n_commas = len(header) + sum(map(len, rows)) - n_lines
+    # csv.writer leaves every field bare unless one holds a quote, a line
+    # break or a comma, or a row is a single empty field: then let it quote
+    if (text.count(",") != n_commas or text.count("\n") != n_lines
+            or '"' in text or "\r" in text or "\n\n" in text
+            or text.startswith("\n")):
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([fmt(x) for x in row])
+        w.writerows([fmt(x) for x in row] for row in rows)
+        text = buf.getvalue()
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def write_json(path, obj) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def trajectory_rows(traj, ts):
-    qs = traj(np.asarray(ts, dtype=float))
-    return [(t, q) for t, q in zip(ts, qs)]
+    """(t, Q) rows of Python floats at the sample times ``ts``."""
+    ts = np.asarray(ts, dtype=float)
+    return list(zip(ts.tolist(), traj(ts).tolist()))
 
 
 def events_rows(events):

@@ -18,12 +18,14 @@ Adaptive runs are stepped by a compiled port of the step loop
 next to this file and loaded with ctypes.  It keeps every formula's order,
 reads both history layouts natively, and gives the same knots and
 coefficients bit for bit.  Fixed-step runs, and machines where the build,
-the load or the check of its history read against ``History.at`` fails,
-use the Python loop, which stays the oracle.
+the load or one of its load-time checks fails, use the Python loop, which
+stays the oracle; ``kernel_status`` says which runs, and why.
 
 Trajectories store one power-basis quartic per accepted step and evaluate
 anywhere in [-tau, t_end].  Event detection (extrema, level crossings) roots
-the dense polynomials themselves, all candidate segments in one batch.
+the dense polynomials themselves: the same kernel isolates every root in
+[0, 1) of the candidate segments by their critical points and bisection,
+and where it is not in use, its Python port does, with the same bits.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from __future__ import annotations
 import errno
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import CubicSpline, PPoly
 
 from .model import ModelParams, steady_state
@@ -50,6 +52,7 @@ __all__ = [
     "find_extrema",
     "find_level_crossings",
     "history_from_trajectory",
+    "kernel_status",
 ]
 
 # Dormand-Prince 5(4) tableau
@@ -411,18 +414,26 @@ _CC = "gcc"
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _UNTRIED = object()
 _lib = _UNTRIED
+_fallback = ""  # why the compiled kernel is not in use, once that is known
 
 
 def _kernel():
-    """The compiled step loop, built on the first call; None where it cannot
-    be built or loaded, or where its history reads differ from ``History.at``."""
+    """The compiled kernel, built on the first call; None where it cannot be
+    built or loaded, or where it fails its load-time checks."""
     global _lib
     if _lib is _UNTRIED:
         _lib = _load_kernel()
     return _lib
 
 
+def kernel_status():
+    """What steps adaptive runs and roots events in this process:
+    "compiled", or {"python": why the compiled kernel is not in use}."""
+    return "compiled" if _kernel() is not None else {"python": _fallback}
+
+
 def _load_kernel():
+    global _fallback
     import ctypes
     import hashlib
     import subprocess
@@ -453,7 +464,16 @@ def _load_kernel():
                     except OSError:
                         pass
         lib = ctypes.CDLL(str(path))
-    except (OSError, subprocess.SubprocessError):
+    except FileNotFoundError as exc:
+        _fallback = (f"no compiler: {_CC} not found" if exc.filename == _CC
+                     else f"build error: {exc}")
+        return None
+    except subprocess.CalledProcessError as exc:
+        lines = exc.stderr.decode(errors="replace").strip().splitlines()
+        _fallback = "build error: " + (lines[-1] if lines else str(exc))
+        return None
+    except (OSError, subprocess.SubprocessError) as exc:
+        _fallback = f"build error: {exc}"
         return None
     ptr, dbl, n = ctypes.c_void_p, ctypes.c_double, ctypes.c_long
     out = ctypes.POINTER
@@ -465,7 +485,15 @@ def _load_kernel():
         ctypes.c_longlong, out(ptr), out(ptr), out(n), out(dbl)]
     lib.hsc_free.restype = None
     lib.hsc_free.argtypes = [ptr]
-    return lib if _reads_match(lib) else None
+    lib.hsc_event_roots.restype = n
+    lib.hsc_event_roots.argtypes = [ptr, n, ctypes.c_int, dbl, ptr, ptr]
+    if not _reads_match(lib):
+        _fallback = "failed load-time check: history reads differ from History.at"
+        return None
+    if not _roots_match(lib):
+        _fallback = "failed load-time check: event roots differ from the Python port"
+        return None
+    return lib
 
 
 def _history_args(history: History):
@@ -501,6 +529,29 @@ def _reads_match(lib) -> bool:
                            t.ctypes.data, t.size, got.ctypes.data)
         want = np.array([float(h.at(v)) for v in t])
         if got.tobytes() != want.tobytes():
+            return False
+    return True
+
+
+def _roots_match(lib) -> bool:
+    """True when the compiled event roots equal their Python port bit for
+    bit, in both modes, on a fixed block of quartics: products of four
+    roots in and around [0, 1), the rows of a double root, a triple root
+    and degree drops, and flat rows."""
+    rng = np.random.default_rng(3)
+    rows = [[1.0, 0.3, -0.5, 0.1, 0.0], [1.0, 0.75, -1.5, 1.0, 0.0],
+            [0.25, -1.0, 1.0, 0.0, 0.0], [-0.125, 0.75, -1.5, 1.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0, 0.0], [0.0] * 5]
+    for roots in rng.uniform(-0.25, 1.25, (24, 4)):
+        c = np.array([rng.uniform(-2.0, 2.0)])
+        for r in roots:
+            c = np.convolve(c, [-r, 1.0])
+        rows.append(c)
+    coefs = np.array(rows)
+    for mode, level in ((_EXTREMA, 0.0), (_LEVEL, 0.0), (_LEVEL, 1.03)):
+        got = _compiled_event_roots(lib, coefs, mode, level)
+        want = _python_event_roots(coefs, mode, level)
+        if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
             return False
     return True
 
@@ -545,60 +596,122 @@ def _compiled_loop(lib, p: ModelParams, history: History, t_end: float,
 # event detection on the dense output
 
 _DEGENERATE_CURVATURE = 1e-12
+_EXTREMA, _LEVEL = 0, 1  # the two modes of the event-root search
+_EPS = sys.float_info.epsilon
 
 
-def _unit_roots(polys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real roots in [0, 1) of stacked polynomials in theta.
+def _event_roots(coefs: np.ndarray, mode: int, level: float = 0.0):
+    """Segment (row of the (n, 5) quartics ``coefs``) and theta of every
+    event root in [0, 1), ordered by segment, then theta: the roots of the
+    derivative cubics for ``_EXTREMA``, of the quartics less ``level`` for
+    ``_LEVEL``, on the candidate segments.  From the compiled kernel where
+    it is in use, else from its Python port; the two agree bit for bit."""
+    lib = _kernel()
+    if lib is None:
+        return _python_event_roots(coefs, mode, level)
+    return _compiled_event_roots(lib, coefs, mode, level)
 
-    ``polys`` is (k, d+1) with coefficients low->high; trailing zero
-    coefficients lower a row's degree.  Rows of one effective degree are
-    rooted together as eigenvalues of their companion matrices, and every
-    kept root is polished by two Newton steps on its own polynomial, each
-    taken only where it lowers the residual.
-    Returns (row, theta) arrays ordered by row, then theta.
+
+def _compiled_event_roots(lib, coefs, mode, level):
+    coefs = np.ascontiguousarray(coefs, dtype=float)
+    cap = (4 if mode == _LEVEL else 3) * len(coefs)
+    seg, theta = np.empty(cap, np.int64), np.empty(cap)
+    n = lib.hsc_event_roots(coefs.ctypes.data, len(coefs), mode, level,
+                            seg.ctypes.data, theta.ctypes.data)
+    return seg[:n], theta[:n]
+
+
+def _python_event_roots(coefs, mode, level):
+    """``hsc_event_roots`` of ``_kernel.c`` in Python: the fallback, and the
+    load-time check of the compiled search."""
+    C = np.asarray(coefs, dtype=float)
+    scale = 1e-13 * np.maximum(1.0, np.abs(C[:, 0]))
+    if mode == _EXTREMA:
+        P = C[:, 1:] * np.array([1.0, 2.0, 3.0, 4.0])  # w * Q' in theta
+        d1, d2, d3, d4 = np.abs(P).T
+        # a flat segment (constant solution to roundoff) has no genuine extrema
+        cand = (d1 <= d2 + d3 + d4) & ~(d1 + d2 + d3 + d4 < scale)
+    else:
+        P = C.copy()
+        P[:, 0] -= level
+        spread = np.abs(P[:, 1:]).sum(axis=1)
+        # running exactly along the level is not a crossing
+        cand = (np.abs(P[:, 0]) <= spread) & (spread >= scale)
+    seg, theta = [], []
+    for i, row in zip(np.nonzero(cand)[0].tolist(), P[cand].tolist()):
+        for r in _unit_roots(row, len(row) - 1):
+            seg.append(i)
+            theta.append(r)
+    return np.array(seg, np.int64), np.array(theta, float)
+
+
+def _horner(c, d, x):
+    v = c[d]
+    for k in range(d - 1, -1, -1):
+        v = c[k] + x * v
+    return v
+
+
+def _unit_roots(c, d):
+    """Real roots in [0, 1) of c[0] + c[1]*x + ... + c[d]*x**d, ascending.
+
+    Trailing zero coefficients lower the degree, and a constant has none.
+    The critical points (the same search on the derivative, closed form for
+    a linear one) cut [0, 1] into monotone pieces, and each sign change is
+    bisected down to adjacent doubles.  A critical point where |p| is within
+    Horner's rounding error (d*eps times the sum over |c[k]|*x**k) counts as
+    a multiple root and is reported once.
     """
-    nonzero = polys != 0.0
-    degree = np.where(nonzero.any(axis=1),
-                      polys.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    rows, roots = [np.empty(0, int)], [np.empty(0)]
-    for d in range(1, polys.shape[1]):
-        sel = np.nonzero(degree == d)[0]
-        if sel.size == 0:
-            continue
-        c = polys[sel, :d + 1]
-        # companion matrices as numpy's polyroots builds them
-        comp = np.zeros((sel.size, d, d))
-        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        comp[:, :, -1] -= c[:, :-1] / c[:, -1:]
-        r = np.linalg.eigvals(comp[:, ::-1, ::-1]).ravel()
-        keep = (np.abs(r.imag) <= 1e-9) & (r.real >= -1e-12) & (r.real < 1.0)
-        rows.append(np.repeat(sel, d)[keep])
-        roots.append(r.real[keep])
-    row = np.concatenate(rows)
-    th = np.clip(np.concatenate(roots), 0.0, 1.0 - 1e-16)
-    c = polys[row].T
-    dc = c[1:] * np.arange(1.0, c.shape[0])[:, None]
-    val = npoly.polyval(th, c, tensor=False)
-    for _ in range(2):
-        slope = npoly.polyval(th, dc, tensor=False)
-        step = np.divide(val, slope, out=np.zeros_like(th), where=slope != 0.0)
-        th_new = np.clip(th - step, 0.0, 1.0 - 1e-16)
-        val_new = npoly.polyval(th_new, c, tensor=False)
-        # at a double root the step divides roundoff by a vanishing slope
-        better = np.abs(val_new) < np.abs(val)
-        th = np.where(better, th_new, th)
-        val = np.where(better, val_new, val)
-    order = np.lexsort((th, row))
-    return row[order], th[order]
+    while d > 0 and c[d] == 0.0:
+        d -= 1
+    if d == 0:
+        return []
+    if d == 1:
+        r = -c[0] / c[1]
+        return [0.0 if r == 0.0 else r] if 0.0 <= r < 1.0 else []
+    x = [0.0]
+    for r in _unit_roots([c[k] * k for k in range(1, d + 1)], d - 1):
+        if r > x[-1]:
+            x.append(r)
+    x.append(1.0)
+    v = [_horner(c, d, t) for t in x]
+    size = [abs(a) for a in c]
+    zero = [f == 0.0 or (0 < j < len(x) - 1
+                         and abs(f) <= d * _EPS * _horner(size, d, x[j]))
+            for j, f in enumerate(v)]
+    out = []
+    for j in range(len(x) - 1):
+        if zero[j]:
+            out.append(x[j])
+        elif not zero[j + 1] and (v[j] < 0.0) != (v[j + 1] < 0.0):
+            out.append(_bisect(c, d, x[j], v[j], x[j + 1], v[j + 1]))
+    return out
 
 
-def _candidate_roots(traj: Trajectory, i0: int, cand: np.ndarray,
-                     polys: np.ndarray, t_start: float, t_end: float):
-    """Segment index, theta and time of the roots of the candidate rows of
-    ``polys`` (segments i0 + j) that fall in the window."""
-    j = np.nonzero(cand)[0]
-    row, th = _unit_roots(polys[j])
-    seg = i0 + j[row]
+def _bisect(c, d, a, fa, b, fb):
+    """A root between a and b, where p(a) and p(b) are nonzero and of
+    opposite sign: the end of the last bracket with the smaller |p|, below 1."""
+    while True:
+        m = 0.5 * (a + b)
+        if m <= a or m >= b:
+            break
+        fm = _horner(c, d, m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+    return b if abs(fb) < abs(fa) and b < 1.0 else a
+
+
+def _window_roots(traj: Trajectory, mode: int, level: float, t_start: float,
+                  t_end: float):
+    """Segment index, theta and time of the event roots that fall in the
+    window."""
+    i0, i1 = traj.segment_range(t_start, t_end)
+    seg, th = _event_roots(traj.coeffs[i0:i1], mode, level)
+    seg = seg + i0
     te = traj.knots[seg] + th * traj.widths[seg]
     inside = (te >= t_start - 1e-12) & (te <= t_end + 1e-12)
     return seg[inside], th[inside], te[inside]
@@ -611,16 +724,8 @@ def find_extrema(traj: Trajectory, t_start: float = 0.0,
     Events with |Q''| below 1e-12 are flagged degenerate."""
     if t_end is None:
         t_end = traj.t_end
-    i0, i1 = traj.segment_range(t_start, t_end)
-    C = traj.coeffs
-    D = C[i0:i1, 1:] * np.array([1.0, 2.0, 3.0, 4.0])  # w * Q' in theta
-    d1, d2, d3, d4 = D.T
-    # a flat segment (constant solution to roundoff) has no genuine extrema
-    flat = (np.abs(d1) + np.abs(d2) + np.abs(d3) + np.abs(d4)
-            < 1e-13 * np.maximum(1.0, np.abs(C[i0:i1, 0])))
-    cand = (np.abs(d1) <= np.abs(d2) + np.abs(d3) + np.abs(d4)) & ~flat
-    seg, th, te = _candidate_roots(traj, i0, cand, D, t_start, t_end)
-    _, e2, e3, e4 = D[seg - i0].T
+    seg, th, te = _window_roots(traj, _EXTREMA, 0.0, t_start, t_end)
+    e2, e3, e4 = (traj.coeffs[seg, 2:] * np.array([2.0, 3.0, 4.0])).T
     w = traj.widths[seg]
     ypp = (e2 + th * (2.0 * e3 + 3.0 * th * e4)) / (w * w)
     values = traj(te)
@@ -646,14 +751,7 @@ def find_level_crossings(traj: Trajectory, level: float,
         raise ValueError("direction must be 'up', 'down' or 'both'")
     if t_end is None:
         t_end = traj.t_end
-    i0, i1 = traj.segment_range(t_start, t_end)
-    P = traj.coeffs[i0:i1].copy()
-    P[:, 0] -= level
-    spread = np.abs(P[:, 1:]).sum(axis=1)
-    # running exactly along the level is not a crossing
-    moving = spread >= 1e-13 * np.maximum(1.0, np.abs(traj.coeffs[i0:i1, 0]))
-    cand = (np.abs(P[:, 0]) <= spread) & moving
-    seg, th, te = _candidate_roots(traj, i0, cand, P, t_start, t_end)
+    _, _, te = _window_roots(traj, _LEVEL, level, t_start, t_end)
     slopes = traj.derivative(te)
     values = traj(te)
     events = []

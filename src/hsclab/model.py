@@ -128,13 +128,18 @@ def table1_params() -> ModelParams:
 def beta(Q, p: ModelParams):
     """Cycle re-entry rate: the Hill function f*theta^s / (theta^s + Q^s).
 
-    Monotonically decreasing in Q with beta(0) = f and beta(theta) = f/2.
-    Accepts scalars or arrays; negative concentrations are rejected.
+    Monotonically decreasing in Q with beta(0) = f and beta(theta) = f/2,
+    and 0 where Q^s passes the double range.  Accepts scalars or arrays;
+    negative concentrations are rejected.
     """
     if np.any(np.asarray(Q) < 0):
         raise ValueError("concentration must be nonnegative")
     ths = p.theta**p.s
-    return p.f * ths / (ths + Q**p.s)
+    try:
+        qs = Q**p.s
+    except OverflowError:  # Python's float power raises where numpy's gives inf
+        qs = math.inf
+    return p.f * ths / (ths + qs)
 
 
 def amplification(gamma: float, tau: float) -> float:

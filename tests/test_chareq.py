@@ -1,8 +1,10 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import lambertw
 
@@ -669,13 +671,18 @@ class TestRightmost:
 
     @given(st.floats(-5.0, 5.0), st.floats(0.01, 5.0), st.booleans(),
            st.floats(0.1, 10.0))
+    # x = -1/e exactly, the branch point where scipy's lambertw gives NaN
+    @example(a=1.0, b_abs=1.0, negative=True, tau=1.0)
     @settings(max_examples=300, deadline=None)
     def test_no_branch_lies_right_of_rightmost(self, a, b_abs, negative, tau):
         c = LinearizationCoeffs(a, -b_abs if negative else b_abs, tau)
         x = c.b * tau * math.exp(-a * tau)
         re = rightmost_root(c).re
         for k in range(-10, 11):
-            lam = a + complex(lambertw(x, k)) / tau
+            w = complex(lambertw(x, k))
+            if cmath.isnan(w):
+                w = complex(mpmath.lambertw(x, k))
+            lam = a + w / tau
             assert re >= lam.real - 1e-12 * max(1.0, abs(lam))
 
     def test_no_delay_coupling(self):

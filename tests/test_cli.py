@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hsclab import cli, presets
+from hsclab import cli, integrator, presets
 from hsclab.cli import main
 from conftest import assert_printed
 
@@ -339,6 +339,28 @@ class TestSimulateAndEvents:
         assert ev[0] == "t,kind,level,direction"
         kinds = {row.split(",")[1] for row in ev[1:]}
         assert {"max", "min", "level"} <= kinds
+
+    def test_manifest_records_the_loop_and_data_do_not(self, tmp_path,
+                                                      monkeypatch):
+        cfg = dict(TABLE1_CFG, set_params={"kappa": 0.3},
+                   simulate={"t_end": 60.0, "sample_dt": 0.5,
+                             "events": {"extrema": True, "levels": [0.3]}})
+        status = integrator.kernel_status()
+        assert run_cli(tmp_path, "simulate", cfg, "--out", "a") == 0
+        monkeypatch.setattr(integrator, "_lib", None)
+        monkeypatch.setattr(integrator, "_fallback", "no compiler: cc not found")
+        assert run_cli(tmp_path, "simulate", cfg, "--out", "b") == 0
+
+        def manifest(prefix):
+            return json.loads((tmp_path / f"{prefix}_manifest.json").read_text())
+
+        assert manifest("a")["kernel"] == status
+        assert manifest("b")["kernel"] == {"python": "no compiler: cc not found"}
+        for name in ("trajectory.csv", "events.csv"):
+            assert (tmp_path / f"a_{name}").read_bytes() == \
+                (tmp_path / f"b_{name}").read_bytes()
+        assert run_cli(tmp_path, "steady", dict(TABLE1_CFG), "--out", "s") == 0
+        assert "kernel" not in manifest("s")
 
 
 class TestHopfCommand:

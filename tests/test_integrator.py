@@ -414,6 +414,147 @@ class TestEventsAgainstScalarOracle:
 
 
 # ---------------------------------------------------------------------------
+# oracle: the batched companion-matrix search (eigenvalues and two Newton
+# steps) that the root isolation of _kernel.c and its Python port replaced
+
+
+def _companion_unit_roots(polys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots in [0, 1) of stacked polynomials in theta.
+
+    ``polys`` is (k, d+1) with coefficients low->high; trailing zero
+    coefficients lower a row's degree.  Rows of one effective degree are
+    rooted together as eigenvalues of their companion matrices, and every
+    kept root is polished by two Newton steps on its own polynomial, each
+    taken only where it lowers the residual.
+    Returns (row, theta) arrays ordered by row, then theta.
+    """
+    nonzero = polys != 0.0
+    degree = np.where(nonzero.any(axis=1),
+                      polys.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    rows, roots = [np.empty(0, int)], [np.empty(0)]
+    for d in range(1, polys.shape[1]):
+        sel = np.nonzero(degree == d)[0]
+        if sel.size == 0:
+            continue
+        c = polys[sel, :d + 1]
+        # companion matrices as numpy's polyroots builds them
+        comp = np.zeros((sel.size, d, d))
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        comp[:, :, -1] -= c[:, :-1] / c[:, -1:]
+        r = np.linalg.eigvals(comp[:, ::-1, ::-1]).ravel()
+        keep = (np.abs(r.imag) <= 1e-9) & (r.real >= -1e-12) & (r.real < 1.0)
+        rows.append(np.repeat(sel, d)[keep])
+        roots.append(r.real[keep])
+    row = np.concatenate(rows)
+    th = np.clip(np.concatenate(roots), 0.0, 1.0 - 1e-16)
+    c = polys[row].T
+    dc = c[1:] * np.arange(1.0, c.shape[0])[:, None]
+    val = npoly.polyval(th, c, tensor=False)
+    for _ in range(2):
+        slope = npoly.polyval(th, dc, tensor=False)
+        step = np.divide(val, slope, out=np.zeros_like(th), where=slope != 0.0)
+        th_new = np.clip(th - step, 0.0, 1.0 - 1e-16)
+        val_new = npoly.polyval(th_new, c, tensor=False)
+        # at a double root the step divides roundoff by a vanishing slope
+        better = np.abs(val_new) < np.abs(val)
+        th = np.where(better, th_new, th)
+        val = np.where(better, val_new, val)
+    order = np.lexsort((th, row))
+    return row[order], th[order]
+
+
+def _companion_event_roots(coefs, mode, level=0.0):
+    """(segment, theta) of the event roots by the filters and the
+    companion-matrix search of the batched event detection."""
+    C = coefs
+    if mode == integrator._EXTREMA:
+        P = C[:, 1:] * np.array([1.0, 2.0, 3.0, 4.0])
+        d1, d2, d3, d4 = P.T
+        flat = (np.abs(d1) + np.abs(d2) + np.abs(d3) + np.abs(d4)
+                < 1e-13 * np.maximum(1.0, np.abs(C[:, 0])))
+        cand = (np.abs(d1) <= np.abs(d2) + np.abs(d3) + np.abs(d4)) & ~flat
+    else:
+        P = C.copy()
+        P[:, 0] -= level
+        spread = np.abs(P[:, 1:]).sum(axis=1)
+        moving = spread >= 1e-13 * np.maximum(1.0, np.abs(C[:, 0]))
+        cand = (np.abs(P[:, 0]) <= spread) & moving
+    j = np.nonzero(cand)[0]
+    row, th = _companion_unit_roots(P[j])
+    return j[row], th
+
+
+def _root_cases(orbit_traj, table1):
+    """(coefficient block, mode, level) of every run the event searches are
+    compared on: the fig15 runs, two orbit windows, the hand-built segments
+    and a flat steady state."""
+    ext, lvl = integrator._EXTREMA, integrator._LEVEL
+    cases = []
+    for traj in (_fig15("constant"), _fig15("cosine")):
+        cases += [(traj.coeffs, ext, 0.0)]
+        cases += [(traj.coeffs, lvl, v) for v in (0.3, 0.4, 1.0)]
+    for lo, hi in ((0.0, 2000.0), (1900.0, 1950.0)):
+        i0, i1 = orbit_traj.segment_range(lo, hi)
+        block = orbit_traj.coeffs[i0:i1]
+        cases += [(block, ext, 0.0), (block, lvl, 0.3)]
+    hand = _hand_built().coeffs
+    cases += [(hand, ext, 0.0)] + [(hand, lvl, v) for v in (1.5, 1.03)]
+    qs = steady_state(table1).nontrivial
+    flat = integrate(table1, History.constant(table1.tau, qs), 300.0).coeffs
+    cases += [(flat, ext, 0.0), (flat, lvl, qs)]
+    return cases
+
+
+class TestEventRoots:
+    def test_compiled_equals_python_port(self, kernel, orbit_traj, table1):
+        for coefs, mode, level in _root_cases(orbit_traj, table1):
+            got = integrator._compiled_event_roots(kernel, coefs, mode, level)
+            want = integrator._python_event_roots(coefs, mode, level)
+            assert got[0].dtype == want[0].dtype == np.int64
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    def test_companion_oracle_finds_the_same_roots(self, orbit_traj, table1):
+        for coefs, mode, level in _root_cases(orbit_traj, table1):
+            seg, th = integrator._event_roots(coefs, mode, level)
+            oseg, oth = _companion_event_roots(coefs, mode, level)
+            # the oracle reports a double root twice
+            twice = np.zeros(oseg.size, bool)
+            twice[1:] = (oseg[1:] == oseg[:-1]) & (np.abs(np.diff(oth)) <= 1e-7)
+            assert np.array_equal(seg, oseg[~twice])
+            assert np.max(np.abs(th - oth[~twice]), initial=0.0) <= 1e-12
+
+    def test_double_roots_reported_once(self):
+        hand = _hand_built().coeffs
+        seg, th = integrator._event_roots(hand, integrator._EXTREMA)
+        assert seg.tolist() == [0, 1, 2] and th[1:].tolist() == [0.5, 0.5]
+        seg, th = integrator._event_roots(hand, integrator._LEVEL, 1.5)
+        assert seg.tolist() == [2] and th.tolist() == [0.5]
+        oseg, _ = _companion_event_roots(hand, integrator._LEVEL, 1.5)
+        assert oseg.tolist() == [2, 2]
+
+    def test_unit_roots(self):
+        roots = integrator._unit_roots
+        assert roots([-0.25, 1.0, 0.0], 2) == [0.25]  # degree drop
+        assert roots([0.0, -1.0, 1.0], 2) == [0.0]    # root at 0, not at 1
+        assert roots([1.0, 0.0, 0.0], 2) == []        # a constant
+        assert roots([0.0, 0.0, 0.0], 2) == []        # identically zero
+        assert roots([-0.125, 0.75, -1.5, 1.0], 3) == [0.5]  # triple root
+        assert roots([0.25 + 1e-3, -1.0, 1.0], 2) == []      # a near miss
+        # (x - 0.1)(x - 0.2)(x - 0.7)(x - 0.9): each to adjacent doubles
+        c = np.convolve(np.convolve([-0.1, 1.0], [-0.2, 1.0]),
+                        np.convolve([-0.7, 1.0], [-0.9, 1.0])).tolist()
+        got = roots(c, 4)
+        assert np.allclose(got, [0.1, 0.2, 0.7, 0.9], rtol=0, atol=1e-15)
+
+    def test_python_port_runs_without_the_kernel(self, monkeypatch):
+        traj = _fig15("cosine")
+        want = (find_extrema(traj), find_level_crossings(traj, 0.4))
+        monkeypatch.setattr(integrator, "_lib", None)
+        assert (find_extrema(traj), find_level_crossings(traj, 0.4)) == want
+
+
+# ---------------------------------------------------------------------------
 # oracle: the Python step loop against the compiled one
 
 @pytest.fixture
@@ -529,11 +670,42 @@ class TestKernelBuild:
             pytest.skip(f"no {integrator._CC} on PATH")
         assert integrator._kernel() is not None
 
+    def test_status_compiled(self, kernel):
+        assert integrator.kernel_status() == "compiled"
+
     @pytest.fixture
     def fresh_build(self, monkeypatch, tmp_path):
         monkeypatch.setattr(integrator, "_lib", integrator._UNTRIED)
+        monkeypatch.setattr(integrator, "_fallback", "")
         monkeypatch.setattr(integrator, "_KERNEL_CACHE", tmp_path / "cache")
         return tmp_path / "cache"
+
+    def test_status_names_the_missing_compiler(self, monkeypatch,
+                                               fresh_build):
+        monkeypatch.setattr(integrator, "_CC", "hsclab-no-such-compiler")
+        assert integrator.kernel_status() == {
+            "python": "no compiler: hsclab-no-such-compiler not found"}
+
+    def test_status_names_the_build_error(self, monkeypatch, fresh_build):
+        if shutil.which(integrator._CC) is None:
+            pytest.skip(f"no {integrator._CC} on PATH")
+        monkeypatch.setattr(integrator, "_CFLAGS",
+                            integrator._CFLAGS + ("-no-such-flag",))
+        why = integrator.kernel_status()["python"]
+        assert why.startswith("build error: ") and "no-such-flag" in why
+
+    def test_roots_mismatch_disables_kernel(self, monkeypatch, kernel):
+        port = integrator._python_event_roots
+
+        def shifted(coefs, mode, level):
+            seg, theta = port(coefs, mode, level)
+            return seg, np.nextafter(theta, 1.0)
+
+        monkeypatch.setattr(integrator, "_python_event_roots", shifted)
+        monkeypatch.setattr(integrator, "_fallback", "")
+        assert integrator._load_kernel() is None
+        assert integrator._fallback == ("failed load-time check: event roots "
+                                        "differ from the Python port")
 
     def test_missing_compiler_falls_back(self, monkeypatch, capfd,
                                          fresh_build):

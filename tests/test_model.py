@@ -31,6 +31,25 @@ class TestBeta:
         assert np.all(np.diff(vals) < 0)
         assert beta(1e9, table1) < 1e-15
 
+    def test_overflowing_power_gives_the_zero_limit(self, table1):
+        # a Python float's Q**s raises OverflowError past the double range
+        assert beta(1e200, table1) == 0.0
+        assert beta(1e130, table1.with_(s=2.5)) == 0.0
+        with np.errstate(over="ignore"):
+            assert np.array_equal(beta(np.array([1e200, 1.0]), table1),
+                                  [0.0, beta(1.0, table1)])
+
+    def test_in_range_values_unchanged(self):
+        # oracle: the formula before the overflow guard
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            p = random_valid_params(rng)
+            q = 10.0 ** rng.uniform(-3.0, 3.0, 64)
+            ths = p.theta**p.s
+            assert np.array_equal(beta(q, p), p.f * ths / (ths + q**p.s))
+            for x in q[:4].tolist():
+                assert beta(x, p) == p.f * ths / (ths + x**p.s)
+
     def test_rejects_negative(self, table1):
         with pytest.raises(ValueError):
             beta(-0.1, table1)
@@ -324,6 +343,12 @@ class TestRhs:
     def test_inflow_only_is_positive(self, table1):
         qs = steady_state(table1).nontrivial
         assert rhs(0.0, qs, table1) > 0.0
+
+    def test_overflowing_power_is_finite(self, table1):
+        A = table1.amplification
+        assert rhs(1e200, 1.0, table1) == \
+            -table1.kappa * 1e200 + A * beta(1.0, table1) * 1.0
+        assert rhs(1.0, 1e200, table1) == -(table1.kappa + beta(1.0, table1))
 
 
 class TestLinearizationSign:
