@@ -1,5 +1,6 @@
-/* Compiled method-of-steps loop of hsclab.integrator.integrate, and the
- * event-root search of its find_extrema and find_level_crossings.
+/* Compiled method-of-steps loop of hsclab.integrator.integrate, the
+ * event-root search of its find_extrema and find_level_crossings, and the
+ * interval loop of hsclab.analysis.lyapunov_spectrum.
  *
  * A port of integrator._python_loop for adaptive runs: the same Dormand-Prince
  * 5(4) step, error control, forced stops, quartic dense output and delayed
@@ -8,8 +9,8 @@
  * arithmetic as written: build with -ffp-contract=off (no fused multiply-add)
  * and never with a flag that relaxes IEEE semantics.  History reads are
  * native: the cosine layout through libm cos, the spline by scipy's PPoly
- * rules.  The event roots (at the end) equal their Python port bit for bit
- * under the same build flags.
+ * rules.  The event roots equal their Python port bit for bit under the
+ * same build flags, and the interval loop (at the end) the numpy loop.
  */
 #include <float.h>
 #include <math.h>
@@ -343,4 +344,138 @@ long hsc_event_roots(const double *coefs, long n, int mode, double level,
         }
     }
     return count;
+}
+
+/* ------------------------------------------------------------------------
+ * The interval loop of analysis.lyapunov_spectrum over one block of step
+ * weights: variational._advance, then orthonormalize (numpy.linalg.qr and
+ * the sign fix), interval after interval.  Every elementwise formula keeps
+ * _advance's order, with cumprod and cumsum as numpy accumulates them.
+ * BLAS and LAPACK are scipy's (cython_blas, cython_lapack), passed in as
+ * function pointers and called as numpy calls its own: the edge read as
+ * dgemv('N') on the row-major rows (0 + ddot for a single column), the QR
+ * as dgeqrf, then dorgqr on the factored column-major copy, each with its
+ * queried workspace.
+ */
+
+enum { LAPACK_ERROR = 5 };
+
+typedef void dgemv_t(const char *trans, const int *m, const int *n, const double *alpha,
+                     const double *a, const int *lda, const double *x, const int *incx,
+                     const double *beta, double *y, const int *incy);
+typedef double ddot_t(const int *n, const double *x, const int *incx, const double *y,
+                      const int *incy);
+typedef void dgeqrf_t(const int *m, const int *n, double *a, const int *lda, double *tau,
+                      double *work, const int *lwork, int *info);
+typedef void dorgqr_t(const int *m, const int *n, const int *k, double *a, const int *lda,
+                      const double *tau, double *work, const int *lwork, int *info);
+
+/* 4-point interpolation weights of variational._W_MID and _W_EDGE */
+static const double W_MID[4] = {-1.0 / 16, 9.0 / 16, 9.0 / 16, -1.0 / 16};
+static const double W_EDGE[4] = {5.0 / 16, 15.0 / 16, -5.0 / 16, 1.0 / 16};
+
+/* numpy's workspace: max(1, columns, the size LAPACK asks for) */
+static int workspace(double query, int n)
+{
+    int w = (int)query;
+    return w > n ? w : (n > 1 ? n : 1);
+}
+
+/* cols (n+1, m) row-major: advanced by K intervals of n_steps steps with the
+ * (K, n_steps) weights g, u0, um, u1 of one block, and orthonormalised with
+ * the sign fix after each, in place; growth (K, m) gets |diag R| of every
+ * interval.  Returns DONE, NO_MEMORY or LAPACK_ERROR (a LAPACK argument
+ * error, which numpy raises as LinAlgError). */
+int hsc_lyapunov_block(long n, long m, long K, long n_steps, double *cols,
+                       const double *g, const double *u0, const double *um,
+                       const double *u1, double *growth,
+                       void *gemv, void *dot, void *geqrf, void *orgqr)
+{
+    dgemv_t *dgemv = (dgemv_t *)gemv;
+    ddot_t *ddot = (ddot_t *)dot;
+    dgeqrf_t *dgeqrf = (dgeqrf_t *)geqrf;
+    dorgqr_t *dorgqr = (dorgqr_t *)orgqr;
+    const int rows = (int)(n + 1), ncol = (int)m, one = 1, four = 4, query = -1;
+    const double unit = 1.0, zero = 0.0;
+    int info = 0, lw_qrf, lw_org, status = DONE;
+    double size;
+    double *w_buf = malloc((n + 1 + n_steps) * m * sizeof *w_buf);
+    double *wdm = malloc((n - 1) * m * sizeof *wdm);
+    double *prod = malloc((n - 1) * sizeof *prod);
+    double *a = malloc((n + 1) * m * sizeof *a);
+    double *tau = malloc(m * sizeof *tau);
+    double *sign = malloc(m * sizeof *sign);
+    double *sum = malloc(m * sizeof *sum);
+    double *work = NULL;
+
+    if (!(w_buf && wdm && prod && a && tau && sign && sum)) { status = NO_MEMORY; goto out; }
+    dgeqrf(&rows, &ncol, a, &rows, tau, &size, &query, &info);
+    if (info) { status = LAPACK_ERROR; goto out; }
+    lw_qrf = workspace(size, ncol);
+    dorgqr(&rows, &ncol, &ncol, a, &rows, tau, &size, &query, &info);
+    if (info) { status = LAPACK_ERROR; goto out; }
+    lw_org = workspace(size, ncol);
+    work = malloc((lw_qrf > lw_org ? lw_qrf : lw_org) * sizeof *work);
+    if (!work) { status = NO_MEMORY; goto out; }
+
+    for (long i = 0; i < (n + 1) * m; i++) w_buf[i] = cols[i];
+    for (long k = 0; k < K; k++) {
+        const double *gk = g + k * n_steps, *u0k = u0 + k * n_steps,
+                     *umk = um + k * n_steps, *u1k = u1 + k * n_steps;
+        /* steps [s, e) with e - s <= n - 1 read only rows stored before
+         * step s: a scalar linear recurrence, solved by products and sums */
+        for (long s = 0; s < n_steps; s += n - 1) {
+            long e = s + n - 1 < n_steps ? s + n - 1 : n_steps, lo = s > 1 ? s : 1;
+            for (long i = lo; i < e; i++) {
+                const double *w = w_buf + (i - 1) * m;
+                for (long j = 0; j < m; j++)
+                    wdm[(i - s) * m + j] = W_MID[0] * w[j] + W_MID[1] * w[m + j]
+                                           + W_MID[2] * w[2 * m + j] + W_MID[3] * w[3 * m + j];
+            }
+            if (s == 0 && m == 1) {
+                wdm[0] = 0.0 + ddot(&four, W_EDGE, &one, w_buf, &one);
+            } else if (s == 0) {  /* y starts at 0, whatever beta = 0 does */
+                for (long j = 0; j < m; j++) wdm[j] = 0.0;
+                dgemv("N", &ncol, &four, &unit, w_buf, &ncol, W_EDGE, &one, &zero, wdm, &one);
+            }
+            prod[0] = gk[s];
+            for (long i = s + 1; i < e; i++) prod[i - s] = prod[i - s - 1] * gk[i];
+            const double *head = w_buf + (n + s) * m;
+            for (long i = s; i < e; i++) {
+                const double *w = w_buf + i * m, *d = wdm + (i - s) * m;
+                double *out = w_buf + (n + i + 1) * m, p = prod[i - s];
+                for (long j = 0; j < m; j++) {
+                    double f = u0k[i] * w[j] + umk[i] * d[j] + u1k[i] * w[m + j];
+                    sum[j] = i == s ? f / p : sum[j] + f / p;
+                    out[j] = p * (head[j] + sum[j]);
+                }
+            }
+        }
+        /* the QR of the new columns, rows n_steps .. n_steps + n */
+        const double *c = w_buf + n_steps * m;
+        for (long i = 0; i <= n; i++)
+            for (long j = 0; j < m; j++) a[i + j * (n + 1)] = c[i * m + j];
+        dgeqrf(&rows, &ncol, a, &rows, tau, work, &lw_qrf, &info);
+        if (info) { status = LAPACK_ERROR; goto out; }
+        for (long j = 0; j < m; j++) {
+            double d = a[j + j * (n + 1)];
+            growth[k * m + j] = fabs(d);
+            sign[j] = d < 0.0 ? -1.0 : 1.0;
+        }
+        dorgqr(&rows, &ncol, &ncol, a, &rows, tau, work, &lw_org, &info);
+        if (info) { status = LAPACK_ERROR; goto out; }
+        for (long i = 0; i <= n; i++)
+            for (long j = 0; j < m; j++) w_buf[i * m + j] = a[i + j * (n + 1)] * sign[j];
+    }
+    for (long i = 0; i < (n + 1) * m; i++) cols[i] = w_buf[i];
+out:
+    free(w_buf);
+    free(wdm);
+    free(prod);
+    free(a);
+    free(tau);
+    free(sign);
+    free(sum);
+    free(work);
+    return status;
 }

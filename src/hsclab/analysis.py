@@ -17,8 +17,9 @@ from .model import ModelParams
 from .integrator import (History, Trajectory, StepSizeUnderflow, integrate,
                          find_extrema, find_level_crossings,
                          history_from_trajectory)
-# integrate_variational is bound here so that perfbench/tracer.py can rebind it
-from .variational import (PerturbationBundle, _advance, _interval_weights,
+# integrate_variational and orthonormalize are bound here, though the
+# interval loop calls neither, so that perfbench/tracer.py can rebind them
+from .variational import (PerturbationBundle, _advance_block, _weight_blocks,
                           integrate_variational, orthonormalize)
 
 __all__ = [
@@ -335,6 +336,11 @@ def lyapunov_spectrum(p: ModelParams, history: History, m: int = 8,
     accounts for that exactly.  A precomputed base trajectory covering the
     whole span may be supplied to share one long integration between
     analyses.
+
+    Each block of intervals is advanced and orthonormalised by one call
+    into the compiled kernel, or by the numpy loop where
+    ``variational.interval_loop`` says the kernel is not in use for this
+    bundle shape; the results are the same bit for bit.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -354,22 +360,21 @@ def lyapunov_spectrum(p: ModelParams, history: History, m: int = 8,
     # per-interval path (cumsum adds left to right), so the times match
     h = bundle.step
     n_steps = max(1, int(round(interval / h)))
-    heads = np.cumsum([bundle.t_head] + [n_steps * h] * (n_warm + n_acc))
-    logs = np.zeros(m)
-    times = np.empty(n_acc)
-    hist = np.empty((n_acc, m))
-    rows = _interval_weights(traj, heads[:-1], h, n_steps)
-    for k, weights in enumerate(rows):
-        cols = _advance(bundle.columns, weights, n_mesh)
-        bundle, growth = orthonormalize(
-            PerturbationBundle(bundle.offsets, cols, heads[k + 1], p.tau))
-        if k >= n_warm:
-            with np.errstate(divide="ignore"):
-                logs += np.log(growth)
-            i = k - n_warm
-            elapsed = (i + 1) * interval
-            times[i] = elapsed
-            hist[i] = logs / elapsed
+    heads = np.cumsum([bundle.t_head] + [n_steps * h] * (n_warm + n_acc - 1))
+    # |diag R| of every interval, one call per block of weights; then the
+    # running log sums, which cumsum adds in order, as logs += log(growth)
+    # would interval by interval
+    growth = np.empty((n_warm + n_acc, m))
+    cols = bundle.columns
+    k = 0
+    for weights in _weight_blocks(traj, heads, h, n_steps):
+        n_block = len(weights[0])
+        cols = _advance_block(cols, weights, n_mesh, growth[k:k + n_block])
+        k += n_block
+    with np.errstate(divide="ignore"):
+        logs = np.cumsum(np.log(growth[n_warm:]), axis=0)
+    times = np.arange(1, n_acc + 1) * interval
+    hist = logs / times[:, None]
     T = float(times[-1])
     finals = hist[-1]
     i10 = min(max(int(np.searchsorted(times, T / 10.0)), 0), n_acc - 1)

@@ -5,7 +5,8 @@ One JSON config document drives every command; flags override config keys
 via dotted paths (``--set lyapunov.horizon=30000``).  Each run writes its
 documented CSV/JSON data files plus a run-manifest JSON holding the fully
 resolved configuration and version stamps, and for a command that
-integrates, whether the compiled kernel or the Python loop ran.  Every
+integrates, whether the compiled kernel or the Python loop ran (for
+``lyapunov`` also its interval loop's, under ``interval_loop``).  Every
 setting has one row in a table of type, default and range, and each command
 checks its sections against it before computing anything.  Exit codes: 0 success, 2 config
 error, 3 numerical failure, 4 unconverged result (data still written).
@@ -33,6 +34,7 @@ from .integrator import (History, detect_events, history_from_trajectory,
 from .model import (ModelParams, derive_homeostasis, existence_bounds,
                     params_from_dict, params_to_dict, spec_from_dict,
                     steady_state)
+from .variational import interval_loop
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -278,6 +280,7 @@ class _Run:
         self.outdir = outdir
         self.prefix = prefix
         self.files: list[str] = []
+        self.notes: dict = {}  # entries the handler adds to the manifest
 
     def path(self, suffix: str) -> str:
         os.makedirs(self.outdir, exist_ok=True)
@@ -484,6 +487,7 @@ def _cmd_lyapunov(cfg, p, run):
                              reorth=s["reorth"], seed=seed, rtol=s["rtol"],
                              atol=s["atol"], base=base, **grid)
     ky = kaplan_yorke(spec.exponents, zero_tol=s["zero_tol"])
+    run.notes["interval_loop"] = interval_loop(s["n_mesh"], s["m"])
     n_crossings = None if sec is None else _poincare(sec, base, run)
     export.write_csv(run.path("lyapunov.csv"), export.lyapunov_header(s["m"]),
                      export.lyapunov_rows(spec, every=s["store_every"]))
@@ -589,6 +593,7 @@ def _execute(command: str, cfg: dict, run: _Run,
     }
     if command in _INTEGRATING:
         manifest["kernel"] = kernel_status()
+    manifest.update(run.notes)
     export.write_json(run.path("manifest.json"), manifest)
     if code == EXIT_UNCONVERGED:
         print(_error_json("unconverged", "result flagged unconverged; data "

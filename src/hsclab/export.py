@@ -114,11 +114,12 @@ def poincare_rows(crossings):
 
 
 def lyapunov_rows(spec, every: int = 1):
-    rows = []
-    for i in range(0, len(spec.times), every):
-        rows.append((spec.times[i], *spec.history[i]))
-    if (len(spec.times) - 1) % every:
-        rows.append((spec.times[-1], *spec.history[-1]))
+    """(t, lambda_1, ...) rows of Python floats: every ``every``-th running
+    estimate, and the last one."""
+    times, hist = spec.times.tolist(), spec.history.tolist()
+    rows = [(times[i], *hist[i]) for i in range(0, len(times), every)]
+    if (len(times) - 1) % every:
+        rows.append((times[-1], *hist[-1]))
     return rows
 
 

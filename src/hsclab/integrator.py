@@ -487,6 +487,8 @@ def _load_kernel():
     lib.hsc_free.argtypes = [ptr]
     lib.hsc_event_roots.restype = n
     lib.hsc_event_roots.argtypes = [ptr, n, ctypes.c_int, dbl, ptr, ptr]
+    lib.hsc_lyapunov_block.restype = ctypes.c_int
+    lib.hsc_lyapunov_block.argtypes = [n, n, n, n] + [ptr] * 10
     if not _reads_match(lib):
         _fallback = "failed load-time check: history reads differ from History.at"
         return None

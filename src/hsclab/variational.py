@@ -22,8 +22,17 @@ equation).  Longer spans are solved chunk by chunk.
 Periodic QR re-orthonormalisation of the bundle supplies the growth factors
 that Lyapunov estimates average.  A Lyapunov run builds the coefficient
 tables of all its intervals before advancing, a block of intervals per
-base-trajectory read (``_interval_weights``); they are the tables
+base-trajectory read (``_weight_blocks``); they are the tables
 ``integrate_variational`` builds for one interval.
+
+Each block's interval loop (advance, QR, sign fix) runs in one call into the
+compiled kernel (``hsc_lyapunov_block`` in ``_kernel.c``).  It calls scipy's
+BLAS and LAPACK through the function pointers that ``scipy.linalg.cython_blas``
+and ``cython_lapack`` export, as numpy calls its own, and gives the numpy
+loop's bits.  The first run of each bundle shape in a process compares the
+two on seeded bundles; where the kernel is not in use or the check fails,
+the numpy loop (``_numpy_block``) runs.  ``interval_loop`` says which runs,
+and why.
 """
 
 from __future__ import annotations
@@ -33,9 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import h_and_G
-from .integrator import Trajectory
+from .integrator import Trajectory, _kernel, kernel_status
 
-__all__ = ["PerturbationBundle", "integrate_variational", "orthonormalize"]
+__all__ = ["PerturbationBundle", "integrate_variational", "orthonormalize",
+           "interval_loop"]
 
 # 4-point interpolation weights at the midpoint of a uniform grid
 _W_MID = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
@@ -96,12 +106,18 @@ def orthonormalize(bundle: PerturbationBundle) -> tuple[PerturbationBundle, np.n
     factor of each successively orthogonalised direction since the last
     orthonormalisation.
     """
-    q, r = np.linalg.qr(bundle.columns)
+    q, growth = _orthonormal_columns(bundle.columns)
+    return (PerturbationBundle(bundle.offsets, q, bundle.t_head, bundle.tau),
+            growth)
+
+
+def _orthonormal_columns(columns):
+    """Q of the QR of the columns, each column's sign fixed so that diag R
+    is positive, and |diag R|."""
+    q, r = np.linalg.qr(columns)
     d = np.diag(r).copy()
     sign = np.where(d < 0, -1.0, 1.0)
-    q = q * sign
-    return (PerturbationBundle(bundle.offsets, q, bundle.t_head, bundle.tau),
-            np.abs(d))
+    return q * sign, np.abs(d)
 
 
 def _coeff_tables(traj: Trajectory, heads, h: float, n_steps: int):
@@ -118,14 +134,14 @@ def _coeff_tables(traj: Trajectory, heads, h: float, n_steps: int):
     return alpha, beta
 
 
-def _interval_weights(traj: Trajectory, heads: np.ndarray, h: float,
-                      n_steps: int):
+def _weight_blocks(traj: Trajectory, heads: np.ndarray, h: float,
+                   n_steps: int):
     """Step weights (g, u0, um, u1) of the n_steps steps from each head time,
-    yielded one interval at a time.  The tables are built for ``_BLOCK``
-    intervals at once, so memory stays bounded on long runs."""
+    yielded ``_BLOCK`` intervals at a time as (K, n_steps) arrays, so memory
+    stays bounded on long runs."""
     for b in range(0, len(heads), _BLOCK):
         alpha, beta = _coeff_tables(traj, heads[b:b + _BLOCK], h, n_steps)
-        yield from zip(*_step_weights(alpha, beta, h))
+        yield _step_weights(alpha, beta, h)
 
 
 def integrate_variational(traj: Trajectory, bundle: PerturbationBundle,
@@ -210,3 +226,110 @@ def _advance(columns, weights, n):
         w_buf[n + s + 1:n + e + 1] = prod * (w_buf[n + s]
                                              + np.cumsum(f / prod, axis=0))
     return w_buf[n_steps:].copy()
+
+
+# ---------------------------------------------------------------------------
+# the interval loop of a Lyapunov run
+
+_pointers: tuple[int, ...] = ()  # scipy's dgemv, ddot, dgeqrf and dorgqr
+_loops: dict = {}  # (n_mesh, m) -> the interval loop of that bundle shape
+
+
+def interval_loop(n_mesh: int, m: int):
+    """What advances and orthonormalises a bundle of m columns on n_mesh + 1
+    mesh values in this process: "compiled", or {"python": why the compiled
+    block is not in use}.  Decided on the first call for each shape."""
+    key = (n_mesh, m)
+    if key not in _loops:
+        _loops[key] = _choose_loop(n_mesh, m)
+    return _loops[key]
+
+
+def _choose_loop(n: int, m: int):
+    global _pointers
+    if _kernel() is None:
+        return {"python": "no compiled kernel: " + kernel_status()["python"]}
+    try:
+        _pointers = _pointers or _scipy_pointers()
+    except (ImportError, AttributeError, KeyError, ValueError) as exc:
+        return {"python": f"no scipy BLAS/LAPACK pointers: {exc}"}
+    if not _block_matches(n, m):
+        return {"python": "failed load-time check: the compiled block differs "
+                          "from the numpy loop"}
+    return "compiled"
+
+
+def _scipy_pointers() -> tuple[int, ...]:
+    """The addresses of scipy's dgemv, ddot, dgeqrf and dorgqr, in the order
+    hsc_lyapunov_block takes them, from the capsules scipy exports."""
+    import ctypes
+    from scipy.linalg import cython_blas, cython_lapack
+
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    blas, lapack = cython_blas.__pyx_capi__, cython_lapack.__pyx_capi__
+    caps = (blas["dgemv"], blas["ddot"], lapack["dgeqrf"], lapack["dorgqr"])
+    return tuple(pointer(cap, name(cap)) for cap in caps)
+
+
+def _block_matches(n: int, m: int) -> bool:
+    """True when the compiled block equals the numpy loop bit for bit on
+    three seeded orthonormal bundles of the shape, each over two intervals
+    of n + 1 steps (a whole chunk of n - 1 steps, then two) with seeded
+    weights."""
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        cols = np.linalg.qr(rng.standard_normal((n + 1, m)))[0]
+        weights = (rng.uniform(0.9, 1.1, (2, n + 1)),
+                   *rng.uniform(-0.05, 0.05, (3, 2, n + 1)))
+        want, got = np.empty((2, m)), np.empty((2, m))
+        q_want = _numpy_block(cols, weights, n, want)
+        q_got = _compiled_block(cols, weights, n, got)
+        if (q_got.tobytes() != q_want.tobytes()
+                or got.tobytes() != want.tobytes()):
+            return False
+    return True
+
+
+def _advance_block(columns, weights, n, growth):
+    """Advance the (n+1, m) columns through the K intervals of one block of
+    step weights (g, u0, um, u1), each (K, n_steps), orthonormalising after
+    every interval.  Writes |diag R| of interval k to ``growth[k]`` and
+    returns the last orthonormal columns."""
+    if interval_loop(n, columns.shape[1]) == "compiled":
+        return _compiled_block(columns, weights, n, growth)
+    return _numpy_block(columns, weights, n, growth)
+
+
+def _numpy_block(columns, weights, n, growth):
+    """``_advance_block`` in numpy: the fallback, and the oracle of the
+    compiled block."""
+    for k, w in enumerate(zip(*weights)):
+        columns, growth[k] = _orthonormal_columns(_advance(columns, w, n))
+    return columns
+
+
+def _compiled_block(columns, weights, n, growth):
+    """``_advance_block`` by ``hsc_lyapunov_block``; ``growth`` must be a
+    C-contiguous (K, m) array of floats."""
+    cols = np.array(columns, dtype=float, order="C")
+    g, u0, um, u1 = (np.ascontiguousarray(x, dtype=float) for x in weights)
+    if (n < 2 or cols.shape[0] != n + 1 or g.ndim != 2
+            or any(x.shape != g.shape for x in (u0, um, u1))
+            or growth.shape != (g.shape[0], cols.shape[1])
+            or growth.dtype != float or not growth.flags.c_contiguous):
+        raise ValueError("the columns, weights and growth rows of a block "
+                         "do not fit together")
+    status = _kernel().hsc_lyapunov_block(
+        n, cols.shape[1], g.shape[0], g.shape[1], cols.ctypes.data,
+        g.ctypes.data, u0.ctypes.data, um.ctypes.data, u1.ctypes.data,
+        growth.ctypes.data, *_pointers)
+    if status == 4:
+        raise MemoryError("Lyapunov block buffers")
+    if status == 5:  # as numpy.linalg.qr reports it
+        raise np.linalg.LinAlgError(
+            "Incorrect argument found while performing QR factorization")
+    return cols

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hsclab import cli, integrator, presets
+from hsclab import cli, integrator, presets, variational
 from hsclab.cli import main
 from conftest import assert_printed
 
@@ -437,6 +437,38 @@ class TestLyapunovCommand:
         assert data["kaplan_yorke"]["dimension"] == 0.0
         lines = (tmp_path / "ly_lyapunov.csv").read_text().splitlines()
         assert lines[0] == "t,lambda_1,lambda_2"
+
+    def test_manifest_records_the_interval_loop_and_data_do_not(
+            self, tmp_path, monkeypatch):
+        cfg = dict(TABLE1_CFG, set_params={"kappa": 0.865, "tau": 3.9},
+                   lyapunov={"m": 3, "horizon": 150.0, "transient": 50.0,
+                             "bundle_warmup": 10.0, "store_every": 7,
+                             "history": {"kind": "steady_state_perturbation",
+                                         "amplitude": 0.05}})
+        code = run_cli(tmp_path, "lyapunov", cfg, "--out", "a")
+        monkeypatch.setattr(variational, "_loops", {})
+        monkeypatch.setattr(variational, "_block_matches", lambda n, m: False)
+        assert run_cli(tmp_path, "lyapunov", cfg, "--out", "b") == code
+
+        def manifest(prefix):
+            return json.loads((tmp_path / f"{prefix}_manifest.json").read_text())
+
+        kernel = integrator.kernel_status()
+        a, b = manifest("a"), manifest("b")
+        assert a["kernel"] == b["kernel"] == kernel
+        if kernel == "compiled":
+            assert a["interval_loop"] == "compiled"
+            assert b["interval_loop"] == {
+                "python": "failed load-time check: the compiled block "
+                          "differs from the numpy loop"}
+        else:
+            assert a["interval_loop"] == b["interval_loop"]
+        for name in ("lyapunov.csv", "lyapunov.json"):
+            assert (tmp_path / f"a_{name}").read_bytes() == \
+                (tmp_path / f"b_{name}").read_bytes()
+        assert run_cli(tmp_path, "simulate", dict(TABLE1_CFG, simulate={
+            "t_end": 20.0}), "--out", "s") == 0
+        assert "interval_loop" not in manifest("s")
 
 
 class TestLyapunovWithSection:

@@ -1,5 +1,6 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -84,6 +85,39 @@ class TestWriteCsv:
         _csv_writer(tmp_path / "want.csv", export.TRAJECTORY_HEADER, old)
         assert (tmp_path / "got.csv").read_bytes() == \
             (tmp_path / "want.csv").read_bytes()
+
+
+def _numpy_lyapunov_rows(spec, every=1):
+    """The rows of numpy scalars ``lyapunov_rows`` gave before."""
+    rows = []
+    for i in range(0, len(spec.times), every):
+        rows.append((spec.times[i], *spec.history[i]))
+    if (len(spec.times) - 1) % every:
+        rows.append((spec.times[-1], *spec.history[-1]))
+    return rows
+
+
+class TestLyapunovRows:
+    @pytest.mark.parametrize("n, every", [(10, 1), (10, 3), (10, 9), (10, 10),
+                                          (10, 25), (1, 1), (1, 4)])
+    def test_same_bytes_as_numpy_scalar_rows(self, tmp_path, n, every):
+        rng = np.random.default_rng(n + every)
+        history = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-300, 300,
+                                                                      (n, 4))
+        # the first and the last row are always written
+        history[0, 0], history[0, 2] = np.nan, -np.inf
+        history[-1, 1], history[-1, 3] = np.inf, -0.0
+        spec = SimpleNamespace(times=np.arange(1, n + 1) * 0.975,
+                               history=history)
+        rows = export.lyapunov_rows(spec, every)
+        assert all(type(x) is float for row in rows for x in row)
+        header = export.lyapunov_header(4)
+        export.write_csv(tmp_path / "got.csv", header, rows)
+        _csv_writer(tmp_path / "want.csv", header,
+                    _numpy_lyapunov_rows(spec, every))
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert b"nan" in got and b"-inf" in got and b"-0.0" in got
 
 
 class TestWriteJson:

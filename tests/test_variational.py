@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from hsclab import chareq, variational
+from hsclab import chareq, integrator, variational
 from hsclab.analysis import (LyapunovSpectrum, lyapunov_span,
                              lyapunov_spectrum)
 from hsclab.integrator import History, Trajectory, integrate
 from hsclab.model import ModelParams, h_and_G, steady_state
 from hsclab.variational import (_W_EDGE, _W_MID, PerturbationBundle,
-                                _coeff_tables, _interval_weights,
-                                _step_weights, integrate_variational,
-                                orthonormalize)
+                                _coeff_tables, _step_weights, _weight_blocks,
+                                integrate_variational, orthonormalize)
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +54,13 @@ def _lyapunov_per_interval(p: ModelParams, history: History, m: int = 8,
                            transient: float = 2000.0, bundle_warmup: float = 200.0,
                            n_mesh: int = 128, seed: int = 0,
                            rtol: float = 1e-9, atol: float = 1e-12,
-                           base: Trajectory | None = None) -> LyapunovSpectrum:
-    """Reference: lyapunov_spectrum with one integrate_variational call per
-    re-orthonormalisation interval (the oracle of the whole-run tables)."""
+                           base: Trajectory | None = None,
+                           blocked: bool = False) -> LyapunovSpectrum:
+    """Reference: lyapunov_spectrum with the growth logs summed interval by
+    interval.  Each interval is one integrate_variational call (the oracle
+    of the whole-run tables) or, with ``blocked``, variational._advance on
+    the whole-run tables: the numpy interval loop, which is the oracle of
+    the compiled one."""
     if m < 1:
         raise ValueError("m must be at least 1")
     grid = lyapunov_span(p, horizon, reorth, transient=transient,
@@ -72,12 +75,22 @@ def _lyapunov_per_interval(p: ModelParams, history: History, m: int = 8,
 
     bundle = PerturbationBundle.seeded(p.tau, m, n_mesh, seed,
                                        t_head=grid.transient)
+    h = bundle.step
+    n_steps = max(1, int(round(interval / h)))
+    heads = np.cumsum([bundle.t_head] + [n_steps * h] * (n_warm + n_acc))
+    rows = (w for block in _weight_blocks(traj, heads[:-1], h, n_steps)
+            for w in zip(*block))
     logs = np.zeros(m)
     times = np.empty(n_acc)
     hist = np.empty((n_acc, m))
     for k in range(n_warm + n_acc):
-        span = (bundle.t_head, bundle.t_head + interval)
-        bundle, _ = integrate_variational(traj, bundle, span)
+        if blocked:
+            cols = variational._advance(bundle.columns, next(rows), n_mesh)
+            bundle = PerturbationBundle(bundle.offsets, cols, heads[k + 1],
+                                        p.tau)
+        else:
+            span = (bundle.t_head, bundle.t_head + interval)
+            bundle, _ = integrate_variational(traj, bundle, span)
         bundle, growth = orthonormalize(bundle)
         if k >= n_warm:
             with np.errstate(divide="ignore"):
@@ -278,13 +291,133 @@ class TestWholeRunTables:
             heads[k + 1] = heads[k] + n_steps * h
         alpha, beta = _coeff_tables(chaos_traj, heads, h, n_steps)
         assert alpha.shape == beta.shape == (11, 2 * n_steps + 1)
-        rows = list(_interval_weights(chaos_traj, heads, h, n_steps))
+        rows = [w for block in _weight_blocks(chaos_traj, heads, h, n_steps)
+                for w in zip(*block)]
         assert len(rows) == 11
         for k, t0 in enumerate(heads):
             a1, b1 = _coeff_tables(chaos_traj, float(t0), h, n_steps)
             assert np.array_equal(alpha[k], a1) and np.array_equal(beta[k], b1)
             for got, want in zip(rows[k], _step_weights(a1, b1, h)):
                 assert np.array_equal(got, want)
+
+
+def _assert_same_bits(got: LyapunovSpectrum, want: LyapunovSpectrum):
+    for name in ("history", "times", "exponents", "drifts"):
+        a = np.asarray(getattr(got, name))
+        b = np.asarray(getattr(want, name))
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.unconverged == want.unconverged
+    assert got.horizon == want.horizon
+    assert got.settings == want.settings
+
+
+class TestCompiledLoop:
+    """The compiled interval loop reproduces the numpy loop bit for bit."""
+
+    @pytest.mark.parametrize("base", ["chaos_traj", "steady_traj"])
+    @pytest.mark.parametrize("kw", [
+        dict(m=8, horizon=200.0, transient=50.0, bundle_warmup=10.0),
+        dict(m=1, horizon=150.0, transient=50.0, bundle_warmup=10.0),
+        # m = n_mesh + 1; one step per interval, short of a chunk (3 steps)
+        dict(m=5, n_mesh=4, horizon=150.0, transient=50.0, bundle_warmup=10.0),
+        # reorth > tau: 5 (chaos) or 7 (steady) steps, two or three chunks
+        dict(m=5, n_mesh=4, reorth=5.0, horizon=500.0, transient=50.0,
+             bundle_warmup=10.0),
+    ])
+    def test_matches_numpy_loop(self, request, base, kw):
+        traj = request.getfixturevalue(base)
+        p = traj.params
+        got = lyapunov_spectrum(p, traj.history, base=traj, **kw)
+        want = _lyapunov_per_interval(p, traj.history, base=traj,
+                                      blocked=True, **kw)
+        _assert_same_bits(got, want)
+        if integrator.kernel_status() == "compiled":
+            loop = variational.interval_loop(kw.get("n_mesh", 128), kw["m"])
+            assert loop == "compiled"
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_one_block_and_one_interval_more(self, chaos_traj, monkeypatch,
+                                             extra):
+        kw = dict(m=3, horizon=100.0, transient=30.0, bundle_warmup=4.0)
+        p = chaos_traj.params
+        grid = lyapunov_span(p, kw["horizon"], transient=kw["transient"],
+                             bundle_warmup=kw["bundle_warmup"])
+        monkeypatch.setattr(variational, "_BLOCK",
+                            grid.n_warm + grid.n_acc - extra)
+        got = lyapunov_spectrum(p, chaos_traj.history, base=chaos_traj, **kw)
+        want = _lyapunov_per_interval(p, chaos_traj.history, base=chaos_traj,
+                                      blocked=True, **kw)
+        _assert_same_bits(got, want)
+
+    # the drift of a -inf exponent is nan, with numpy's warning on both paths
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    def test_zero_growth_gives_the_sequential_minus_inf(self, chaos_traj,
+                                                        monkeypatch):
+        seeded = PerturbationBundle.seeded.__func__
+
+        def zero_column(cls, *args, **kwargs):
+            bundle = seeded(cls, *args, **kwargs)
+            bundle.columns[:, 1] = 0.0
+            return bundle
+
+        monkeypatch.setattr(PerturbationBundle, "seeded",
+                            classmethod(zero_column))
+        kw = dict(m=3, horizon=100.0, transient=30.0, bundle_warmup=0.0)
+        p = chaos_traj.params
+        got = lyapunov_spectrum(p, chaos_traj.history, base=chaos_traj, **kw)
+        want = _lyapunov_per_interval(p, chaos_traj.history, base=chaos_traj,
+                                      blocked=True, **kw)
+        assert np.all(np.isneginf(got.history[:, 1]))
+        _assert_same_bits(got, want)
+
+    def test_failed_check_runs_the_numpy_loop(self, chaos_traj, monkeypatch):
+        kw = dict(m=3, horizon=100.0, transient=30.0, bundle_warmup=4.0)
+        p = chaos_traj.params
+        want = lyapunov_spectrum(p, chaos_traj.history, base=chaos_traj, **kw)
+        kernel = integrator.kernel_status()
+
+        def not_called(*args):
+            raise AssertionError("the compiled block ran")
+
+        monkeypatch.setattr(variational, "_loops", {})
+        monkeypatch.setattr(variational, "_block_matches", lambda n, m: False)
+        monkeypatch.setattr(variational, "_compiled_block", not_called)
+        got = lyapunov_spectrum(p, chaos_traj.history, base=chaos_traj, **kw)
+        _assert_same_bits(got, want)
+        loop = variational.interval_loop(128, 3)
+        assert "python" in loop
+        if kernel == "compiled":
+            assert loop["python"].startswith("failed load-time check")
+        assert integrator.kernel_status() == kernel
+
+    def test_no_kernel_runs_the_numpy_loop(self, monkeypatch):
+        monkeypatch.setattr(variational, "_loops", {})
+        monkeypatch.setattr(integrator, "_lib", None)
+        monkeypatch.setattr(integrator, "_fallback", "no compiler: cc not found")
+        assert variational.interval_loop(128, 3) == {
+            "python": "no compiled kernel: no compiler: cc not found"}
+
+    def test_compiled_block_checks_shapes(self):
+        cols = np.eye(5, 2)
+        weights = tuple(np.ones((3, 4)) for _ in range(4))
+        for n, growth in ((4, np.empty((3, 3))), (5, np.empty((3, 2))),
+                          (4, np.empty((2, 3)).T)):
+            with pytest.raises(ValueError, match="fit together"):
+                variational._compiled_block(cols, weights, n, growth)
+
+    def test_check_sees_one_ulp(self, monkeypatch):
+        if integrator.kernel_status() != "compiled":
+            pytest.skip("no compiled kernel")
+        assert variational.interval_loop(16, 2) == "compiled"
+        numpy_block = variational._numpy_block
+
+        def one_ulp_off(columns, weights, n, growth):
+            out = numpy_block(columns, weights, n, growth)
+            growth[-1, -1] = np.nextafter(growth[-1, -1], np.inf)
+            return out
+
+        monkeypatch.setattr(variational, "_numpy_block", one_ulp_off)
+        assert not variational._block_matches(16, 2)
 
 
 class TestLyapunovSmall:
