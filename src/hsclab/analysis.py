@@ -304,7 +304,8 @@ class LyapunovSpectrum:
     re-orthonormalisation, columns in QR order); ``exponents`` is the final
     row sorted non-increasing.  An exponent is flagged unconverged when its
     running estimate drifted by more than 10% of its magnitude (plus 1e-4)
-    over the last decade of averaging time.
+    over the last decade of averaging time, or when that drift is nan (a
+    direction with zero growth, whose exponent is -inf).
     """
 
     exponents: tuple[float, ...]
@@ -378,8 +379,10 @@ def lyapunov_spectrum(p: ModelParams, history: History, m: int = 8,
     T = float(times[-1])
     finals = hist[-1]
     i10 = min(max(int(np.searchsorted(times, T / 10.0)), 0), n_acc - 1)
-    drifts = np.abs(finals - hist[i10])
-    flags = drifts > 0.1 * np.abs(finals) + 1e-4
+    with np.errstate(invalid="ignore"):  # -inf - -inf: a zero-growth column
+        drifts = np.abs(finals - hist[i10])
+    # a nan drift is no evidence of convergence, so it is flagged too
+    flags = ~(drifts <= 0.1 * np.abs(finals) + 1e-4)
     order = np.argsort(-finals, kind="stable")
     return LyapunovSpectrum(
         exponents=tuple(float(x) for x in finals[order]),

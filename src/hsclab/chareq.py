@@ -480,6 +480,9 @@ def stability_region(c: LinearizationCoeffs, n_c0: int = 257) -> StabilityAssess
 # critical delays and Hopf loci
 
 _TAU_SCAN = 10_000     # grid points of the delay scan in critical_delays
+# |gap|/tau below which a grid value's sign is left to the scalar gap: far
+# above the grid's disagreement with it near 0 (about 1e-13*tau)
+_GAP_ROUNDING = 1e-8
 _HOPF_RE_TOL = 1e-9   # |Re| that ends the bisection of a Hopf point
 
 
@@ -520,11 +523,58 @@ def _tau1_gap(p: ModelParams, tau: float) -> float:
     return tau - math.acos(-a / b) / math.sqrt(b * b - a * a)
 
 
+def _tau1_gap_grid(p: ModelParams, taus: np.ndarray) -> np.ndarray:
+    """_tau1_gap at every delay of ``taus`` in one numpy pass.
+
+    The same formulas on arrays: A(tau), Q*(tau), h'(Q*) through the array
+    path of h_and_G, a, b and the wedge test.  numpy's exp, log, power and
+    arccos round differently from the math module's, so the values are
+    close to the scalar ones, not equal: within about 1e-13*tau where the
+    gap is small, and 4e-10 relative where tau1 grows without bound at the
+    wedge edge b = a (Table 1 and 400 ensemble sets).
+    """
+    with np.errstate(all="ignore"):
+        A = 2.0 * np.exp(-p.gamma * taus)
+        radicand = p.f * (A - 1.0) / p.kappa - 1.0
+        qstar = np.where(radicand > 0.0,
+                         p.theta * np.exp(np.log(radicand) / p.s), np.nan)
+        hp = h_and_G(qstar, p).h_prime
+        a = -p.kappa - hp
+        b = A * hp
+        wedge = (b < 0.0) & (b < a) & (-b > np.abs(a))
+        return np.where(wedge,
+                        taus - np.arccos(-a / b) / np.sqrt(b * b - a * a),
+                        np.nan)
+
+
+def _bracket_candidates(taus: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Indices i of the grid pairs (i, i+1) on which the scalar gap may
+    start a crossing, judged from the grid values ``gaps``.
+
+    A pair is quiet when both ends are nan, or both lie clearly on one side
+    of 0 (further than _GAP_ROUNDING*tau from it); every other pair, and the
+    pair on each side of it, is a candidate.  The neighbours cover a sign
+    change or nan edge that the grid puts one point off the scalar gap's.
+    """
+    state = np.where(gaps > 0.0, 1, -1)
+    state[np.isnan(gaps)] = 0
+    state[np.abs(gaps) <= _GAP_ROUNDING * taus] = 2  # sign not trusted
+    loud = np.flatnonzero((state[:-1] != state[1:]) | (state[:-1] == 2))
+    near = np.concatenate([loud - 1, loud, loud + 1])
+    return np.unique(near[(near >= 0) & (near < len(taus) - 1)])
+
+
 def critical_delays(p: ModelParams) -> CriticalDelays:
     """Delay landmarks for the given parameter set (tau itself is scanned).
 
-    The implicit equation tau = tau1(a(tau), b(tau)) is scanned on a uniform
-    grid over (0, tau_max) for sign changes, each refined by bisection.
+    The gap tau - tau1(a(tau), b(tau)) of the implicit equation
+    tau = tau1(a(tau), b(tau)) is evaluated on a uniform grid over
+    (0, tau_max) in one numpy pass, which picks the few grid pairs that
+    can hold a crossing.  On those pairs the scalar gap decides, with the
+    rule of a scalar scan: a pair with a nan end holds none, an end at 0
+    is a crossing, and a sign change is refined by brentq on the scalar
+    gap.  Elsewhere the grid values are far enough from 0 that the scalar
+    gap has their sign.
     """
     _, tau_max = existence_bounds(p)
     if tau_max <= 0.0:  # no delay has a nontrivial state
@@ -540,9 +590,12 @@ def critical_delays(p: ModelParams) -> CriticalDelays:
 
     lo = tau_max * 1e-9
     grid = np.linspace(lo, tau_max * (1.0 - 1e-12), _TAU_SCAN)
-    vals = np.array([_tau1_gap(p, t) for t in grid])
+    pairs = _bracket_candidates(grid, _tau1_gap_grid(p, grid))
+    ends = np.union1d(pairs, pairs + 1)
+    vals = np.full_like(grid, np.nan)
+    vals[ends] = [_tau1_gap(p, t) for t in grid[ends]]
     crossings = []
-    for i in range(len(grid) - 1):
+    for i in pairs.tolist():
         v0, v1 = vals[i], vals[i + 1]
         if math.isnan(v0) or math.isnan(v1):
             continue

@@ -97,7 +97,8 @@ def roots_rows(roots):
 
 
 def c0_rows(samples):
-    return [tuple(row) for row in samples]
+    """Rows of Python floats, which ``fmt`` writes without numpy dispatch."""
+    return samples.tolist()
 
 
 def orbit_rows(sweeps):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -15,7 +16,8 @@ from hsclab.chareq import (LinearizationCoeffs, c0_curve,
                            linearize_at, real_root_rebound, real_roots,
                            rightmost_complex_pair, rightmost_root,
                            stability_region, winding_number)
-from hsclab.model import ModelParams, h_and_G, steady_state
+from hsclab.model import (ModelParams, existence_bounds, h_and_G,
+                          steady_state)
 from conftest import assert_printed, random_valid_params
 
 
@@ -197,6 +199,63 @@ def oracle_real_root_rebound(p: ModelParams) -> float | None:
         if q_right > 1e12 * p.theta:
             return None
     return brentq(lambda q: hp(q) - tm1, q_m, q_right, xtol=1e-15)
+
+
+def _scalar_critical_delays(p: ModelParams) -> chareq.CriticalDelays:
+    """Reference: critical_delays with the scalar gap at every grid point and
+    a Python loop over the grid pairs (the scan the numpy grid replaced)."""
+    _, tau_max = existence_bounds(p)
+    if tau_max <= 0.0:  # no delay has a nontrivial state
+        return chareq.CriticalDelays(None, None, chareq._tau2(p), tau_max)
+    if not math.isfinite(tau_max) or tau_max > 1e8:
+        # the existence bound never binds on any physical horizon and the
+        # amplification is effectively independent of tau: tau1 is fixed
+        c = chareq._coeffs_at_delay(p, 1.0)
+        t1m = None
+        if c is not None and c.b < 0.0 and -c.b > abs(c.a):
+            t1m = math.acos(-c.a / c.b) / math.sqrt(c.b**2 - c.a**2)
+        return chareq.CriticalDelays(t1m, None, chareq._tau2(p), tau_max)
+
+    lo = tau_max * 1e-9
+    grid = np.linspace(lo, tau_max * (1.0 - 1e-12), chareq._TAU_SCAN)
+    vals = np.array([chareq._tau1_gap(p, t) for t in grid])
+    crossings = []
+    for i in range(len(grid) - 1):
+        v0, v1 = vals[i], vals[i + 1]
+        if math.isnan(v0) or math.isnan(v1):
+            continue
+        if v0 == 0.0:
+            crossings.append(grid[i])
+        elif (v0 < 0.0) != (v1 < 0.0):
+            crossings.append(
+                brentq(lambda t: chareq._tau1_gap(p, t), grid[i], grid[i + 1],
+                       xtol=1e-12)
+            )
+    if len(crossings) > 2:
+        warnings.warn(f"{len(crossings)} stability crossings in tau; "
+                      "reporting the outermost pair")
+    t1m = crossings[0] if crossings else None
+    t1p = crossings[-1] if len(crossings) >= 2 else None
+    return chareq.CriticalDelays(t1m, t1p, chareq._tau2(p), tau_max)
+
+
+# the scan misses tau1+ on these (draws 19, 26, 116 and 199 of
+# random_valid_params from rng 0): the unstable window closes through the
+# wedge edge b = a, where the gap is nan on the grid point after the crossing
+MISSED_TAU1_PLUS = [
+    ModelParams(kappa=0.6359839098334549, gamma=0.012563878998139377,
+                tau=6.809879597092874, theta=0.10605165406999757,
+                f=9.667992460686854, s=3.801491818231617),
+    ModelParams(kappa=6.172791351976505, gamma=0.012279939506889034,
+                tau=3.3557788123316707, theta=0.017932226036216845,
+                f=16.863272384544725, s=3.6213792271221674),
+    ModelParams(kappa=0.15272156006238188, gamma=0.043963342716259055,
+                tau=6.7789726167765965, theta=0.07428144622171909,
+                f=9.609930216910172, s=3.951739046543663),
+    ModelParams(kappa=1.3389702900140112, gamma=0.018455261607480216,
+                tau=4.100542018718823, theta=0.03108127943309018,
+                f=11.565484438600677, s=3.607704799554444),
+]
 
 
 class TestLambertW:
@@ -512,6 +571,95 @@ class TestCriticalDelays:
     def test_unit_hill_exponent_has_no_tau2(self, table1):
         d = critical_delays(table1.with_(s=1.0))
         assert d.tau2 is None
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the scan misses this tau1+: the unstable window closes through the "
+        "wedge edge b = a, where the gap is nan on the grid point after the "
+        "crossing; ROADMAP item 1's principal-branch scan finds it, together "
+        "with a re-record of perfbench/reference.json"))
+    def test_missed_tau1_plus_as_expected(self):
+        d = critical_delays(MISSED_TAU1_PLUS[0])
+        assert d.tau1_plus is not None and 48.2 < d.tau1_plus < 48.3
+
+    def test_missed_tau1_plus_is_a_crossing(self):
+        for tau, sign in ((48.2, 1.0), (48.3, -1.0)):
+            p = MISSED_TAU1_PLUS[0].with_(tau=tau)
+            root = rightmost_root(coeffs_at(steady_state(p).nontrivial, p))
+            assert math.copysign(1.0, root.re) == sign, tau
+
+
+class TestCriticalDelaysScan:
+    """The numpy grid with scalar-decided brackets gives the scalar scan's
+    crossings bit for bit."""
+
+    def test_table1_and_limits(self, table1):
+        p_far = table1.with_(theta=table1.theta * 1e100)
+        qs = steady_state(p_far).nontrivial
+        assert 2.0 * p_far.s * math.log10(qs) > 309.0  # h' takes _hill_far
+        sets = [table1, p_far, table1.with_(s=1.0),
+                table1.with_(gamma=1e-300),  # tau_max > 1e8
+                ModelParams(kappa=1000.0, gamma=0.01, tau=1.0, theta=1.0,
+                            f=1.0, s=2.0)]  # tau_max <= 0
+        for p in sets:
+            assert critical_delays(p) == _scalar_critical_delays(p), p
+        assert critical_delays(p_far).tau1_minus is not None
+
+    def test_known_misses_stay_missed(self):
+        for p in MISSED_TAU1_PLUS:
+            d = critical_delays(p)
+            assert d == _scalar_critical_delays(p), p
+            assert d.tau1_minus is not None and d.tau1_plus is None
+
+    def test_ensemble(self):
+        rng = np.random.default_rng(0)
+        bad = []
+        for k in range(400):
+            p = random_valid_params(rng)
+            if critical_delays(p) != _scalar_critical_delays(p):
+                bad.append((k, p))
+        assert not bad
+
+    @pytest.fixture(scope="class")
+    def table1_scan(self, table1):
+        return _scalar_critical_delays(table1)
+
+    @pytest.mark.parametrize("crossing", [0, 1])
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("wrong", ["sign", "nan", "tiny"])
+    @pytest.mark.parametrize("edge", ["left", "right"])
+    def test_scalar_gap_decides_brackets(self, table1, table1_scan,
+                                         monkeypatch, crossing, side, wrong,
+                                         edge):
+        # a grid that is wrong by a point: the value on one side of a
+        # crossing has the wrong sign, or a two-point nan run ends there (a
+        # nan edge one point into the crossing), or two values there sit
+        # within rounding of 0 on the wrong side; and the nan edge after
+        # tau1+ moves left or right
+        grid_gap = chareq._tau1_gap_grid
+
+        def off_by_a_point(p, taus):
+            gaps = grid_gap(p, taus)
+            finite = ~np.isnan(gaps)
+            changes = np.flatnonzero(finite[:-1] & finite[1:]
+                                     & ((gaps[:-1] < 0) != (gaps[1:] < 0)))
+            nan_edge = np.flatnonzero(finite[:-1] != finite[1:])[-1]
+            if edge == "left":
+                gaps[nan_edge] = np.nan
+            else:
+                gaps[nan_edge + 1] = gaps[nan_edge]
+            i = changes[crossing] + side
+            pair = [i, i + 2 * side - 1]
+            if wrong == "sign":
+                gaps[i] = -gaps[i]
+            elif wrong == "nan":
+                gaps[pair] = np.nan
+            else:
+                gaps[pair] = (-np.sign(gaps[i]) * 0.5 * chareq._GAP_ROUNDING
+                              * taus[pair])
+            return gaps
+
+        monkeypatch.setattr(chareq, "_tau1_gap_grid", off_by_a_point)
+        assert critical_delays(table1) == table1_scan
 
 
 class TestHopfLocus:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hsclab import export
+from hsclab import chareq, export
 from hsclab.integrator import History, integrate
 from hsclab.model import table1_params
 
@@ -118,6 +118,20 @@ class TestLyapunovRows:
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert b"nan" in got and b"-inf" in got and b"-0.0" in got
+
+
+class TestC0Rows:
+    def test_same_bytes_as_numpy_scalar_rows(self, tmp_path):
+        samples = chareq.c0_curve(2.8)
+        samples[3, 1], samples[5, 2], samples[7, 0] = np.nan, -0.0, np.inf
+        rows = export.c0_rows(samples)
+        assert all(type(x) is float for row in rows for x in row)
+        export.write_csv(tmp_path / "got.csv", export.C0_HEADER, rows)
+        _csv_writer(tmp_path / "want.csv", export.C0_HEADER,
+                    [tuple(row) for row in samples])
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert b"nan" in got and b"-0.0" in got and b"inf" in got
 
 
 class TestWriteJson:

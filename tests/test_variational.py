@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -349,7 +352,8 @@ class TestCompiledLoop:
                                       blocked=True, **kw)
         _assert_same_bits(got, want)
 
-    # the drift of a -inf exponent is nan, with numpy's warning on both paths
+    # the drift of a -inf exponent is nan: the oracle warns and leaves it
+    # unflagged, lyapunov_spectrum keeps its bits, is silent and flags it
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
     def test_zero_growth_gives_the_sequential_minus_inf(self, chaos_traj,
                                                         monkeypatch):
@@ -364,11 +368,17 @@ class TestCompiledLoop:
                             classmethod(zero_column))
         kw = dict(m=3, horizon=100.0, transient=30.0, bundle_warmup=0.0)
         p = chaos_traj.params
-        got = lyapunov_spectrum(p, chaos_traj.history, base=chaos_traj, **kw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lyapunov_spectrum(p, chaos_traj.history, base=chaos_traj,
+                                    **kw)
         want = _lyapunov_per_interval(p, chaos_traj.history, base=chaos_traj,
                                       blocked=True, **kw)
         assert np.all(np.isneginf(got.history[:, 1]))
-        _assert_same_bits(got, want)
+        assert got.exponents[-1] == -np.inf and np.isnan(got.drifts[-1])
+        assert got.unconverged[-1] and not want.unconverged[-1]
+        assert got.unconverged[:-1] == want.unconverged[:-1]
+        _assert_same_bits(got, replace(want, unconverged=got.unconverged))
 
     def test_failed_check_runs_the_numpy_loop(self, chaos_traj, monkeypatch):
         kw = dict(m=3, horizon=100.0, transient=30.0, bundle_warmup=4.0)
