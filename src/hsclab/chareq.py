@@ -13,7 +13,8 @@ Lambert-W branch k.  This module computes the linearisation coefficients,
 real roots (branches 0 and -1 of an in-house real Lambert-W), complex roots
 (one value per complex branch, cross-checked by an argument-principle
 winding count), the stability-region classification with its boundary
-curve, critical delays, and one-parameter Hopf-point location.
+curve, critical delays, and one-parameter Hopf-point location; the last
+two share one sign-crossing scan refined by brentq (_sign_crossings).
 
 All functions are pure; nothing here mutates shared state.
 """
@@ -469,7 +470,7 @@ def stability_region(c: LinearizationCoeffs, n_c0: int = 257) -> StabilityAssess
     if b >= a:
         return StabilityAssessment("stable", math.inf, samples)
     # wedge b < -|a|: finite critical delay
-    tau1 = math.acos(-a / b) / math.sqrt(b * b - a * a)
+    tau1 = _tau1(a, b)
     if abs(tau - tau1) <= 1e-12 * max(1.0, tau1):
         return StabilityAssessment("boundary", tau1, samples)
     state = "stable" if tau < tau1 else "unstable"
@@ -483,7 +484,6 @@ _TAU_SCAN = 10_000     # grid points of the delay scan in critical_delays
 # |gap|/tau below which a grid value's sign is left to the scalar gap: far
 # above the grid's disagreement with it near 0 (about 1e-13*tau)
 _GAP_ROUNDING = 1e-8
-_HOPF_RE_TOL = 1e-9   # |Re| that ends the bisection of a Hopf point
 
 
 @dataclass(frozen=True)
@@ -504,23 +504,31 @@ class CriticalDelays:
     tau_max: float
 
 
-def _coeffs_at_delay(p: ModelParams, tau: float) -> LinearizationCoeffs | None:
-    pt = p.with_(tau=tau)
-    qs = steady_state(pt).nontrivial
+def _tau1(a: float, b: float) -> float:
+    """tau1(a, b) = arccos(-a/b) / sqrt(b^2 - a^2), the critical delay of
+    z' = a z + b z(t-tau) in the wedge b < -|a|; nan outside it."""
+    if not (b < 0.0 and b < a and -b > abs(a)):
+        return math.nan
+    return math.acos(-a / b) / math.sqrt(b * b - a * a)
+
+
+def _coeffs_with(p: ModelParams, vary: str,
+                 v: float) -> LinearizationCoeffs | None:
+    """The linearisation at the nontrivial steady state with parameter
+    ``vary`` set to v; None where that state does not exist."""
+    pv = p.with_(**{vary: v})
+    qs = steady_state(pv).nontrivial
     if qs is None:
         return None
-    return coeffs_at(qs, pt)
+    return coeffs_at(qs, pv)
 
 
 def _tau1_gap(p: ModelParams, tau: float) -> float:
     """tau - tau1(a(tau), b(tau)); nan outside the wedge b < -|a|."""
-    c = _coeffs_at_delay(p, tau)
+    c = _coeffs_with(p, "tau", tau)
     if c is None:
         return math.nan
-    a, b = c.a, c.b
-    if not (b < 0.0 and b < a and -b > abs(a)):
-        return math.nan
-    return tau - math.acos(-a / b) / math.sqrt(b * b - a * a)
+    return tau - _tau1(c.a, c.b)
 
 
 def _tau1_gap_grid(p: ModelParams, taus: np.ndarray) -> np.ndarray:
@@ -564,17 +572,44 @@ def _bracket_candidates(taus: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     return np.unique(near[(near >= 0) & (near < len(taus) - 1)])
 
 
+def _sign_crossings(fn, grid: np.ndarray, pairs: np.ndarray) -> list[float]:
+    """Where the scalar ``fn`` crosses 0 on the grid pairs (i, i+1) listed
+    in ``pairs`` (increasing indices), in grid order.
+
+    fn is evaluated at the ends of those pairs.  A pair with a nan end
+    holds no crossing, an end at 0 is a crossing (reported once where two
+    pairs share it), and a sign change is refined by brentq on fn.  The
+    grid may run either way.
+    """
+    ends = np.union1d(pairs, pairs + 1)
+    vals = np.full_like(grid, np.nan)
+    vals[ends] = [fn(x) for x in grid[ends]]
+    crossings: list[float] = []
+    for i in pairs.tolist():
+        v0, v1 = vals[i], vals[i + 1]
+        if math.isnan(v0) or math.isnan(v1):
+            continue
+        if v0 == 0.0 or v1 == 0.0:
+            x = float(grid[i] if v0 == 0.0 else grid[i + 1])
+        elif (v0 < 0.0) != (v1 < 0.0):
+            x = brentq(fn, grid[i], grid[i + 1], xtol=1e-12)
+        else:
+            continue
+        if not crossings or x != crossings[-1]:
+            crossings.append(x)
+    return crossings
+
+
 def critical_delays(p: ModelParams) -> CriticalDelays:
     """Delay landmarks for the given parameter set (tau itself is scanned).
 
     The gap tau - tau1(a(tau), b(tau)) of the implicit equation
     tau = tau1(a(tau), b(tau)) is evaluated on a uniform grid over
     (0, tau_max) in one numpy pass, which picks the few grid pairs that
-    can hold a crossing.  On those pairs the scalar gap decides, with the
-    rule of a scalar scan: a pair with a nan end holds none, an end at 0
-    is a crossing, and a sign change is refined by brentq on the scalar
-    gap.  Elsewhere the grid values are far enough from 0 that the scalar
-    gap has their sign.
+    can hold a crossing.  On those pairs the scalar gap decides
+    (_sign_crossings), and brentq refines each sign change on it.
+    Elsewhere the grid values are far enough from 0 that the scalar gap
+    has their sign.
     """
     _, tau_max = existence_bounds(p)
     if tau_max <= 0.0:  # no delay has a nontrivial state
@@ -582,30 +617,15 @@ def critical_delays(p: ModelParams) -> CriticalDelays:
     if not math.isfinite(tau_max) or tau_max > 1e8:
         # the existence bound never binds on any physical horizon and the
         # amplification is effectively independent of tau: tau1 is fixed
-        c = _coeffs_at_delay(p, 1.0)
-        t1m = None
-        if c is not None and c.b < 0.0 and -c.b > abs(c.a):
-            t1m = math.acos(-c.a / c.b) / math.sqrt(c.b**2 - c.a**2)
-        return CriticalDelays(t1m, None, _tau2(p), tau_max)
+        c = _coeffs_with(p, "tau", 1.0)
+        t1m = math.nan if c is None else _tau1(c.a, c.b)
+        return CriticalDelays(None if math.isnan(t1m) else t1m, None,
+                              _tau2(p), tau_max)
 
     lo = tau_max * 1e-9
     grid = np.linspace(lo, tau_max * (1.0 - 1e-12), _TAU_SCAN)
     pairs = _bracket_candidates(grid, _tau1_gap_grid(p, grid))
-    ends = np.union1d(pairs, pairs + 1)
-    vals = np.full_like(grid, np.nan)
-    vals[ends] = [_tau1_gap(p, t) for t in grid[ends]]
-    crossings = []
-    for i in pairs.tolist():
-        v0, v1 = vals[i], vals[i + 1]
-        if math.isnan(v0) or math.isnan(v1):
-            continue
-        if v0 == 0.0:
-            crossings.append(grid[i])
-        elif (v0 < 0.0) != (v1 < 0.0):
-            crossings.append(
-                brentq(lambda t: _tau1_gap(p, t), grid[i], grid[i + 1],
-                       xtol=1e-12)
-            )
+    crossings = _sign_crossings(lambda t: _tau1_gap(p, t), grid, pairs)
     if len(crossings) > 2:
         warnings.warn(f"{len(crossings)} stability crossings in tau; "
                       "reporting the outermost pair")
@@ -626,49 +646,28 @@ def _tau2(p: ModelParams) -> float | None:
 def hopf_locus_1p(p: ModelParams, vary: str, lo: float, hi: float,
                   n_scan: int = 400) -> list[tuple[float, float]]:
     """Parameter values in [lo, hi] where the steady state's rightmost
-    characteristic value crosses the imaginary axis as a conjugate pair,
-    each located by bisection on its real part.
+    characteristic value crosses the imaginary axis as a conjugate pair.
 
-    The scan tracks the rightmost root overall (real or complex): its real
-    part moves continuously even when a complex pair collides into two real
-    roots, which is exactly what happens between the two Hopf points of the
-    model, so no crossing can hide behind an identity change.  Every
-    bisection step re-runs the windowed root search from scratch.  Returns
-    (value, omega) tuples with omega the crossing frequency.
+    The scan tracks the real part of the rightmost root overall, the
+    principal-branch value a + W_0(x)/tau: it moves continuously even when
+    a complex pair collides into two real roots, as happens between the
+    model's two Hopf points.  Its sign changes on n_scan points from lo to
+    hi are refined by brentq (_sign_crossings).  Returns (value, omega)
+    tuples with omega the crossing frequency.
     """
     if vary not in ("kappa", "gamma", "tau", "theta", "f", "s"):
         raise ValueError(f"unknown parameter {vary!r}")
 
-    def dominant(v: float) -> CharRoot | None:
-        pv = p.with_(**{vary: v})
-        qs = steady_state(pv).nontrivial
-        if qs is None:
-            return None
-        return rightmost_root(coeffs_at(qs, pv))
+    def rightmost_re(v: float) -> float:
+        c = _coeffs_with(p, vary, v)
+        return math.nan if c is None else rightmost_root(c).re
 
     grid = np.linspace(lo, hi, n_scan)
-    vals = [dominant(v) for v in grid]
     out: list[tuple[float, float]] = []
-    for i in range(len(grid) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va is None or vb is None or (va.re < 0.0) == (vb.re < 0.0):
-            continue
-        a_, b_ = grid[i], grid[i + 1]
-        sa = va.re < 0.0
-        root = None
-        for _ in range(200):
-            mid = 0.5 * (a_ + b_)
-            root = dominant(mid)
-            if root is None:
-                break
-            if abs(root.re) < _HOPF_RE_TOL or abs(b_ - a_) < 4e-16 * max(1.0, abs(mid)):
-                break
-            if (root.re < 0.0) == sa:
-                a_ = mid
-            else:
-                b_ = mid
-        if root is not None and root.kind == "complex-pair":
-            out.append((0.5 * (a_ + b_), root.im))
+    for v in _sign_crossings(rightmost_re, grid, np.arange(n_scan - 1)):
+        root = rightmost_root(_coeffs_with(p, vary, v))
+        if root.kind == "complex-pair":
+            out.append((v, root.im))
     return out
 
 

@@ -667,7 +667,7 @@ def main(argv=None) -> int:
         print(_error_json("config", str(exc), getattr(exc, "key", None)),
               file=sys.stderr)
         return EXIT_CONFIG
-    except (RuntimeError, ArithmeticError, ValueError) as exc:
+    except (RuntimeError, ArithmeticError, ValueError, MemoryError) as exc:
         print(_error_json("numerical", str(exc)), file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -252,23 +252,21 @@ class Trajectory:
 
 
 def integrate(p: ModelParams, history: History, t_end: float, *,
-              rtol: float = 1e-9, atol: float = 1e-12,
-              fixed_step: float | None = None) -> Trajectory:
+              rtol: float = 1e-9, atol: float = 1e-12) -> Trajectory:
     """Solve the delay equation forward from the given history.
 
     Local error per step is kept within rtol/atol (defaults beyond typical,
     chosen for multi-decade horizons).  The first ``_SMOOTHING_ROUNDS``
-    multiples of the delay are mandatory step boundaries.  ``fixed_step``
-    bypasses error control entirely (used for order measurements).
-    Identical inputs produce bit-identical trajectories.
+    multiples of the delay are mandatory step boundaries.  Identical inputs
+    produce bit-identical trajectories.
 
-    Adaptive runs use the compiled step loop where it can be built (see
-    ``_kernel``); ``fixed_step`` runs and machines without it use the Python
-    loop, which gives the same knots and coefficients bit for bit.
+    Runs use the compiled step loop where it can be built (see
+    ``_kernel``); machines without it use the Python loop, which gives the
+    same knots and coefficients bit for bit.
     """
-    lib = _kernel() if fixed_step is None else None
+    lib = _kernel()
     if lib is None:
-        return _python_loop(p, history, t_end, rtol, atol, fixed_step)
+        return _python_loop(p, history, t_end, rtol, atol, None)
     return _compiled_loop(lib, p, history, t_end, rtol, atol)
 
 
@@ -290,7 +288,8 @@ def _stops(p: ModelParams, history: History, t_end: float, rtol: float,
 def _python_loop(p: ModelParams, history: History, t_end: float, rtol: float,
                  atol: float, fixed_step: float | None) -> Trajectory:
     """The step loop in Python: the fallback, and the oracle of the
-    compiled loop in ``_kernel.c``."""
+    compiled loop in ``_kernel.c``.  A ``fixed_step`` bypasses error
+    control entirely (used for order measurements)."""
     stops = _stops(p, history, t_end, rtol, atol)
     kappa, tau, f, s = p.kappa, p.tau, p.f, p.s
     A = p.amplification

@@ -10,7 +10,7 @@ linearised solutions near the manifold, and the concentration landmarks at
 which the local behaviour changes.
 
 Every landmark solves h'(Q) = c for a constant c and is taken in closed form
-from model.h_prime_level; the nullcline is solved by bisection on the
+from model.h_prime_level; the nullcline is solved by brentq on the
 monotone pieces between the turning points that the same function gives.
 """
 

@@ -51,7 +51,7 @@ __all__ = ["PerturbationBundle", "integrate_variational", "orthonormalize",
 _W_MID = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 # one-sided variant for the very first step (nodes 0..3, evaluated at 0.5)
 _W_EDGE = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
-# intervals per coefficient-table block in ``_interval_weights``: at 33 steps
+# intervals per coefficient-table block in ``_weight_blocks``: at 33 steps
 # per interval a block reads the base trajectory at 8576 times, about 1 MB of
 # temporaries; 64 to 512 ran equally fast, and the temporaries grow with it
 _BLOCK = 64

@@ -201,6 +201,14 @@ def oracle_real_root_rebound(p: ModelParams) -> float | None:
     return brentq(lambda q: hp(q) - tm1, q_m, q_right, xtol=1e-15)
 
 
+def _coeffs_at_delay(p: ModelParams, tau: float):
+    pt = p.with_(tau=tau)
+    qs = steady_state(pt).nontrivial
+    if qs is None:
+        return None
+    return coeffs_at(qs, pt)
+
+
 def _scalar_critical_delays(p: ModelParams) -> chareq.CriticalDelays:
     """Reference: critical_delays with the scalar gap at every grid point and
     a Python loop over the grid pairs (the scan the numpy grid replaced)."""
@@ -210,7 +218,7 @@ def _scalar_critical_delays(p: ModelParams) -> chareq.CriticalDelays:
     if not math.isfinite(tau_max) or tau_max > 1e8:
         # the existence bound never binds on any physical horizon and the
         # amplification is effectively independent of tau: tau1 is fixed
-        c = chareq._coeffs_at_delay(p, 1.0)
+        c = _coeffs_at_delay(p, 1.0)
         t1m = None
         if c is not None and c.b < 0.0 and -c.b > abs(c.a):
             t1m = math.acos(-c.a / c.b) / math.sqrt(c.b**2 - c.a**2)
@@ -237,6 +245,48 @@ def _scalar_critical_delays(p: ModelParams) -> chareq.CriticalDelays:
     t1m = crossings[0] if crossings else None
     t1p = crossings[-1] if len(crossings) >= 2 else None
     return chareq.CriticalDelays(t1m, t1p, chareq._tau2(p), tau_max)
+
+
+# ---------------------------------------------------------------------------
+# The bisection on the rightmost root's real part that hopf_locus_1p ran
+# before it shared _sign_crossings with critical_delays, kept as its oracle.
+
+_HOPF_RE_TOL = 1e-9   # |Re| that ends the bisection of a Hopf point
+
+
+def bisection_hopf_locus(p: ModelParams, vary: str, lo: float, hi: float,
+                         n_scan: int) -> list[tuple[float, float]]:
+    def dominant(v):
+        pv = p.with_(**{vary: v})
+        qs = steady_state(pv).nontrivial
+        if qs is None:
+            return None
+        return rightmost_root(coeffs_at(qs, pv))
+
+    grid = np.linspace(lo, hi, n_scan)
+    vals = [dominant(v) for v in grid]
+    out = []
+    for i in range(len(grid) - 1):
+        va, vb = vals[i], vals[i + 1]
+        if va is None or vb is None or (va.re < 0.0) == (vb.re < 0.0):
+            continue
+        a_, b_ = grid[i], grid[i + 1]
+        sa = va.re < 0.0
+        root = None
+        for _ in range(200):
+            mid = 0.5 * (a_ + b_)
+            root = dominant(mid)
+            if root is None:
+                break
+            if abs(root.re) < _HOPF_RE_TOL or abs(b_ - a_) < 4e-16 * max(1.0, abs(mid)):
+                break
+            if (root.re < 0.0) == sa:
+                a_ = mid
+            else:
+                b_ = mid
+        if root is not None and root.kind == "complex-pair":
+            out.append((0.5 * (a_ + b_), root.im))
+    return out
 
 
 # the scan misses tau1+ on these (draws 19, 26, 116 and 199 of
@@ -598,6 +648,7 @@ class TestCriticalDelaysScan:
         assert 2.0 * p_far.s * math.log10(qs) > 309.0  # h' takes _hill_far
         sets = [table1, p_far, table1.with_(s=1.0),
                 table1.with_(gamma=1e-300),  # tau_max > 1e8
+                table1.with_(gamma=1e-300, kappa=7.0),  # the same, b > 0
                 ModelParams(kappa=1000.0, gamma=0.01, tau=1.0, theta=1.0,
                             f=1.0, s=2.0)]  # tau_max <= 0
         for p in sets:
@@ -684,8 +735,50 @@ class TestHopfLocus:
         d = critical_delays(table1)
         pts = hopf_locus_1p(table1, "tau", 4.0, 6.88, n_scan=150)
         assert len(pts) == 2
-        assert pts[0][0] == pytest.approx(d.tau1_minus, abs=5e-7)
-        assert pts[1][0] == pytest.approx(d.tau1_plus, abs=5e-7)
+        assert pts[0][0] == pytest.approx(d.tau1_minus, abs=1e-9)
+        assert pts[1][0] == pytest.approx(d.tau1_plus, abs=1e-9)
+
+    @pytest.mark.parametrize("vary, lo, hi, n_scan", [
+        ("kappa", 0.05, 4.0, 200), ("gamma", 0.15, None, 200),
+        ("tau", 4.0, 6.88, 150),
+        ("kappa", 0.05, 4.0, 80), ("gamma", 0.2, None, 60),  # C4
+        ("kappa", 0.03, 1.6, 100),  # the linear workload's hopf op
+        ("kappa", 1.6, 0.03, 100),  # a window may run down
+        ("kappa", 1.4, 1.6, 40)])
+    def test_matches_bisection_oracle(self, table1, vary, lo, hi, n_scan):
+        gmax = math.log(2 * table1.f / (table1.kappa + table1.f)) / table1.tau
+        hi = gmax * 0.9999 if hi is None else hi
+        pts = hopf_locus_1p(table1, vary, lo, hi, n_scan=n_scan)
+        want = bisection_hopf_locus(table1, vary, lo, hi, n_scan)
+        assert len(pts) == len(want) > 0
+        for (v, w), (v_o, w_o) in zip(pts, want):
+            assert abs(v - v_o) <= 1e-8 and abs(w - w_o) <= 1e-8
+            c = chareq._coeffs_with(table1, vary, v)
+            assert abs(chareq.char_value(c, complex(0.0, w))) <= 1e-10
+
+
+class TestSignCrossings:
+    def test_nan_end_holds_no_crossing(self):
+        grid = np.linspace(0.0, 4.0, 5)
+        for hole, want in ((1.0, [2.5]), (3.0, [])):
+            fn = lambda x: math.nan if x == hole else x - 2.5
+            assert chareq._sign_crossings(fn, grid, np.arange(4)) == want
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    def test_zero_at_a_grid_point_reported_once(self, slope):
+        grid = np.linspace(0.0, 4.0, 5)
+        for pairs in (np.arange(4), np.array([1]), np.array([2])):
+            got = chareq._sign_crossings(lambda x: slope * (x - 2.0), grid,
+                                         pairs)
+            assert got == [2.0], pairs
+        # at the last grid point, reached only as the right end of a pair
+        assert chareq._sign_crossings(lambda x: slope * (x - 4.0), grid,
+                                      np.arange(4)) == [4.0]
+
+    def test_decreasing_grid(self):
+        grid = np.linspace(3.0, 0.0, 7)
+        got = chareq._sign_crossings(math.cos, grid, np.arange(6))
+        assert got == [pytest.approx(math.pi / 2.0, abs=1e-12)]
 
 
 class TestCoalescence:

@@ -275,6 +275,20 @@ class TestNumericalEdges:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "numerical"
 
+    @pytest.mark.parametrize("command, section", [
+        ("stability", {"stability": {"n_c0": 10**15}}),
+        ("hopf", {"hopf": {"vary": "kappa", "lo": 1.4, "hi": 1.6,
+                           "n_scan": 10**15}}),
+    ])
+    def test_refused_allocation_is_numerical_error(self, tmp_path, capsys,
+                                                   command, section):
+        # an 8 PB grid is refused at once, before any of it is allocated;
+        # numpy's MemoryError ended in a traceback
+        assert run_cli(tmp_path, command, dict(TABLE1_CFG, **section)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "numerical"
+        assert "allocate" in err["error"]["message"]
+
     @pytest.mark.parametrize("command", ["stability", "roots"])
     def test_far_point_linearises_to_the_limit(self, tmp_path, command):
         # h' at Q = 1e300 is finite (about -1e-600, so -0.0): the equation
