@@ -9,7 +9,7 @@ of a perturbation bundle, and the Kaplan-Yorke dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,23 +45,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PoincareCrossing:
-    """One transversal crossing of the section: the crossing time, the
-    solution segment over the trailing delay interval, and the planar
-    projection (Q(t-tau), Q(t-tau/2))."""
+    """One transversal crossing of the section: the crossing time t and the
+    planar projection (Q(t-tau), Q(t-tau/2))."""
 
     t: float
-    segment: np.ndarray
     projection: tuple[float, float]
 
 
 def poincare_section(traj: Trajectory, alpha: float, level: float,
                      direction: str = "up", t_start: float = 0.0,
-                     t_end: float | None = None,
-                     n_segment: int = 129) -> list[PoincareCrossing]:
+                     t_end: float | None = None) -> list[PoincareCrossing]:
     """All times t in the window with Q(t - alpha) = level crossed in the
     given direction.  alpha in [0, tau] anchors the section inside the
-    trailing solution segment; the projection always uses the offsets tau
-    and tau/2 from the segment's right end."""
+    trailing delay interval [t - tau, t]; the projection always uses the
+    offsets tau and tau/2 back from t."""
     tau = traj.params.tau
     if not 0.0 <= alpha <= tau:
         raise ValueError("alpha must lie in [0, tau]")
@@ -77,9 +74,8 @@ def poincare_section(traj: Trajectory, alpha: float, level: float,
         t = e.t + alpha
         if t > traj.t_end or t - tau < -tau:
             continue
-        seg = traj(np.linspace(t - tau, t, n_segment))
         proj = (float(traj(t - tau)), float(traj(t - tau / 2.0)))
-        out.append(PoincareCrossing(t=t, segment=seg, projection=proj))
+        out.append(PoincareCrossing(t=t, projection=proj))
     return out
 
 
@@ -96,11 +92,14 @@ class PeriodEstimate:
 
 
 def estimate_period(traj: Trajectory, window: tuple[float, float], *,
-                    level: float | None = None, match_rtol: float = 1e-6,
-                    n_mesh: int = 129, max_lag: int = 20) -> PeriodEstimate:
+                    match_rtol: float = 1e-6,
+                    max_lag: int = 20) -> PeriodEstimate:
     """Period from the spacing of section returns whose trailing segments
     match in sup norm over one delay.
 
+    The section is the upward crossing of the window's mid-range level,
+    halfway between the least and the greatest of 4096 samples of Q over
+    the window; segments are compared on 129 points of the delay interval.
     A phase-locked orbit returning to the section L times per period is
     recognised by matching at lag L.  An aperiodic verdict requires at
     least ``max_lag`` returns without any match; fewer returns give
@@ -108,17 +107,15 @@ def estimate_period(traj: Trajectory, window: tuple[float, float], *,
     """
     t0, t1 = window
     tau = traj.params.tau
-    if level is None:
-        ts = np.linspace(t0, t1, 4096)
-        vals = traj(ts)
-        level = 0.5 * (float(vals.min()) + float(vals.max()))
+    vals = traj(np.linspace(t0, t1, 4096))
+    level = 0.5 * (float(vals.min()) + float(vals.max()))
     hits = find_level_crossings(traj, level, "up", t0, t1)
     times = [e.t for e in hits if e.direction == "up" and e.t - tau >= t0 - tau]
     n_ret = len(times)
     if n_ret < 3:
         return PeriodEstimate("insufficient-data", None, None, n_ret, level)
 
-    mesh = np.linspace(-tau, 0.0, n_mesh)
+    mesh = np.linspace(-tau, 0.0, 129)
     segs: dict[int, np.ndarray] = {}
 
     def seg(i: int) -> np.ndarray:
@@ -191,12 +188,8 @@ class SweepPoint:
 
 @dataclass
 class SweepResult:
-    vary: str
     direction: str          # "increasing" | "decreasing"
-    mesh: np.ndarray
     points: list[SweepPoint]
-    base_params: ModelParams
-    settings: dict = field(default_factory=dict)
 
 
 def orbit_diagram(p: ModelParams, vary: str, mesh, *,
@@ -255,11 +248,7 @@ def orbit_diagram(p: ModelParams, vary: str, mesh, *,
             extrema = (("max", q_end), ("min", q_end))
         points.append(SweepPoint(param=float(v), extrema=extrema, seed=seed_note))
         prev = traj
-    return SweepResult(vary=vary, direction=direction, mesh=mesh,
-                       points=points, base_params=p,
-                       settings={"transient": transient, "record": record,
-                                 "record_mode": record_mode, "rtol": rtol,
-                                 "atol": atol})
+    return SweepResult(direction=direction, points=points)
 
 
 # ---------------------------------------------------------------------------

@@ -261,19 +261,9 @@ def real_roots(c: LinearizationCoeffs) -> list[CharRoot]:
 
 def real_part_cap(c: LinearizationCoeffs) -> float:
     """An upper bound r* on the real part of every characteristic value:
-    the unique solution of r = a + |b|*exp(-r*tau)."""
-    a, b, tau = c.a, abs(c.b), c.tau
-    if b == 0.0:
-        return a
-    g = lambda r: a + b * math.exp(min(-r * tau, 700.0)) - r
-    hi = a + b + 1.0
-    while g(hi) > 0.0:  # g is strictly decreasing in r
-        hi += max(1.0, abs(hi))
-    lo = hi - 1.0
-    while g(lo) < 0.0:
-        hi = lo
-        lo -= max(1.0, abs(lo))
-    return brentq(g, lo, hi, xtol=1e-13)
+    the unique solution of r = a + |b|*exp(-r*tau), which is the real root
+    a + W_0(|b|*tau*exp(-a*tau))/tau of the equation with |b| (real_roots)."""
+    return real_roots(LinearizationCoeffs(c.a, abs(c.b), c.tau))[0].re
 
 
 def _upper_roots(c: LinearizationCoeffs, k_max: int):
@@ -295,10 +285,11 @@ def _upper_roots(c: LinearizationCoeffs, k_max: int):
             yield lam
 
 
-def complex_roots(c: LinearizationCoeffs, re_min: float, im_max: float,
-                  re_max: float | None = None) -> list[CharRoot]:
+def complex_roots(c: LinearizationCoeffs, re_min: float,
+                  im_max: float) -> list[CharRoot]:
     """Conjugate-pair characteristic values in the window
-    re_min <= Re <= re_max (default: above-all-roots cap), 0 < Im <= im_max.
+    re_min <= Re <= re_max, 0 < Im <= im_max, whose top re_max =
+    real_part_cap(c) + 1 lies above every root.
 
     Every root is a + W_k(b*tau*exp(-a*tau))/tau on exactly one Lambert-W
     branch k (Corless et al., Adv. Comput. Math. 5 (1996) 329).  The
@@ -312,8 +303,7 @@ def complex_roots(c: LinearizationCoeffs, re_min: float, im_max: float,
         raise ValueError("im_max must be positive")
     if c.b == 0.0:
         return []
-    if re_max is None:
-        re_max = real_part_cap(c) + 1.0
+    re_max = real_part_cap(c) + 1.0
     if re_max <= re_min:
         raise ValueError("empty search window: re_min above the root cap")
 
@@ -431,9 +421,12 @@ def rightmost_root(c: LinearizationCoeffs) -> CharRoot:
 # ---------------------------------------------------------------------------
 # stability region
 
-def c0_curve(tau: float, n: int = 257) -> np.ndarray:
-    """Samples of the stability boundary in the (a*tau, b*tau) plane:
-    (omega, omega*cot(omega), -omega*csc(omega)) for omega in [0, pi)."""
+def c0_curve(n: int = 257) -> np.ndarray:
+    """n >= 1 samples of the stability boundary C0 in the (a*tau, b*tau)
+    plane, the same for every (a, b, tau): (omega, omega*cot(omega),
+    -omega*csc(omega)) for omega in [0, pi), from the limit (0, 1, -1)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     om = np.linspace(0.0, math.pi, n, endpoint=False)
     a_tau = np.empty_like(om)
     b_tau = np.empty_like(om)
@@ -445,36 +438,37 @@ def c0_curve(tau: float, n: int = 257) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StabilityAssessment:
+    """The state of the steady state and the critical delay of (a, b)."""
+
     state: str  # "stable" | "unstable" | "boundary"
     tau1: float | None  # critical delay for these (a, b); inf if none binds
-    c0_samples: np.ndarray  # columns (omega, a_tau, b_tau)
 
 
-def stability_region(c: LinearizationCoeffs, n_c0: int = 257) -> StabilityAssessment:
+def stability_region(c: LinearizationCoeffs) -> StabilityAssessment:
     """Classify the steady state of z' = a z + b z(t-tau).
 
     Unstable when b > -a (a real root is positive); stable for every delay
     when b lies between a and -a (with a < 0); otherwise stable exactly for
     tau < tau1(a, b) = arccos(-a/b) / sqrt(b^2 - a^2).  Sitting on the
     boundary curve is reported as the distinct state "boundary"; downstream
-    sweep logic treats it as not stable.
+    sweep logic treats it as not stable.  The boundary curve itself is
+    c0_curve.
     """
     a, b, tau = c.a, c.b, c.tau
-    samples = c0_curve(tau, n_c0)
     if a == 0.0 and b == 0.0:
-        return StabilityAssessment("boundary", None, samples)
+        return StabilityAssessment("boundary", None)
     if b > -a:
-        return StabilityAssessment("unstable", None, samples)
+        return StabilityAssessment("unstable", None)
     if b == -a:
-        return StabilityAssessment("boundary", None, samples)
+        return StabilityAssessment("boundary", None)
     if b >= a:
-        return StabilityAssessment("stable", math.inf, samples)
+        return StabilityAssessment("stable", math.inf)
     # wedge b < -|a|: finite critical delay
     tau1 = _tau1(a, b)
     if abs(tau - tau1) <= 1e-12 * max(1.0, tau1):
-        return StabilityAssessment("boundary", tau1, samples)
+        return StabilityAssessment("boundary", tau1)
     state = "stable" if tau < tau1 else "unstable"
-    return StabilityAssessment(state, tau1, samples)
+    return StabilityAssessment(state, tau1)
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,7 @@ _SETTINGS = {
     "poincare": {"alpha": (float, 0.0, _NONNEGATIVE),
                  "level": (float, _REQUIRED),
                  "direction": (str, "up", _one_of("up", "down")),
-                 "t_start": (float, 0.0, _NONNEGATIVE),
-                 "n_segment": (int, 129, _at_least(1))},
+                 "t_start": (float, 0.0, _NONNEGATIVE)},
     "sweep": {"vary": (str, _REQUIRED, _one_of(*_PARAM_NAMES)),
               "direction": (str, "both", _one_of("up", "down", "both")),
               "transient": (float, 50.0, _NONNEGATIVE),
@@ -316,7 +315,7 @@ def _stability_coeffs(p, at, section):
 def _cmd_stability(cfg, p, run):
     s = settings(cfg, "stability", p)
     c, q_eq = _stability_coeffs(p, s["at"], "stability")
-    assess = chareq.stability_region(c, n_c0=s["n_c0"])
+    assess = chareq.stability_region(c)
     delays = chareq.critical_delays(p)
     out = {"at": q_eq, "a": c.a, "b": c.b, "tau": c.tau,
            "state": assess.state, "tau1": assess.tau1,
@@ -326,7 +325,7 @@ def _cmd_stability(cfg, p, run):
                                "tau_max": delays.tau_max}}
     export.write_json(run.path("stability.json"), _jsonable(out))
     export.write_csv(run.path("c0.csv"), export.C0_HEADER,
-                     export.c0_rows(assess.c0_samples))
+                     export.c0_rows(chareq.c0_curve(s["n_c0"])))
     return out, EXIT_OK
 
 
@@ -426,8 +425,7 @@ def _cmd_poincare(cfg, p, run):
 
 def _poincare(s, traj, run):
     crossings = poincare_section(traj, s["alpha"], s["level"], s["direction"],
-                                 t_start=s["t_start"],
-                                 n_segment=s["n_segment"])
+                                 t_start=s["t_start"])
     export.write_csv(run.path("poincare.csv"), export.POINCARE_HEADER,
                      export.poincare_rows(crossings))
     return len(crossings)

@@ -531,14 +531,42 @@ class TestComplexRoots:
                 assert r.im >= math.pi / p.tau - 1e-9
 
 
+def bracket_real_part_cap(c):
+    # the bracket search that the closed form replaced, kept as its oracle:
+    # brentq on the strictly decreasing g(r) = a + |b|*exp(-r*tau) - r
+    a, b, tau = c.a, abs(c.b), c.tau
+    if b == 0.0:
+        return a
+    g = lambda r: a + b * math.exp(min(-r * tau, 700.0)) - r
+    hi = a + b + 1.0
+    while g(hi) > 0.0:
+        hi += max(1.0, abs(hi))
+    lo = hi - 1.0
+    while g(lo) < 0.0:
+        hi = lo
+        lo -= max(1.0, abs(lo))
+    return brentq(g, lo, hi, xtol=1e-13)
+
+
 class TestRealPartCap:
     def test_far_left_bracket(self):
-        # the clamp sat on the wrong side of the exponent, so the bracket
-        # search overflowed here
+        # |b|*tau*exp(-a*tau) passes e^690: W_0 comes from its logarithm
         c = LinearizationCoeffs(-1001.0, 2.0, 1.0)
         r = chareq.real_part_cap(c)
         assert r == pytest.approx(-6.2094, abs=1e-4)
         assert abs(c.a + abs(c.b) * math.exp(-r * c.tau) - r) <= 1e-12 * abs(c.a)
+
+    def test_matches_bracket_search(self):
+        rng = np.random.default_rng(20)
+        cases = [LinearizationCoeffs(-1001.0, 2.0, 1.0),
+                 LinearizationCoeffs(0.3, 0.0, 1.0),
+                 LinearizationCoeffs(-0.3, -0.0, 2.8)]
+        for _ in range(2000):
+            a, b = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-3.0, 1.0, 2)
+            cases.append(LinearizationCoeffs(a, b, 10.0 ** rng.uniform(-1.0, 1.7)))
+        for c in cases:
+            want = bracket_real_part_cap(c)
+            assert abs(chareq.real_part_cap(c) - want) <= 1e-13 * max(1.0, abs(want))
 
 
 class TestStabilityRegion:
@@ -562,8 +590,13 @@ class TestStabilityRegion:
         res = stability_region(LinearizationCoeffs(-0.5, 1.0, 2.0))
         assert res.state == "unstable"
 
+    def test_c0_curve_needs_a_sample(self):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            c0_curve(0)
+        assert c0_curve(1).tolist() == [[0.0, 1.0, -1.0]]
+
     def test_c0_samples_schema(self):
-        c0 = c0_curve(2.8, 65)
+        c0 = c0_curve(65)
         assert c0.shape == (65, 3)
         assert c0[0, 1] == 1.0 and c0[0, 2] == -1.0
         # the curve stays in a <= 1/tau, b <= -1/tau (scaled by tau: <=1, <=-1)

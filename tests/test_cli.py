@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hsclab import cli, integrator, presets, variational
+from hsclab import chareq, cli, export, integrator, presets, variational
 from hsclab.cli import main
 from conftest import assert_printed
 
@@ -208,6 +208,15 @@ class TestConfigValidation:
         assert err["error"]["type"] == "config"
         assert err["error"]["key"] == "poincare.alpha"
 
+    def test_poincare_n_segment_is_unknown_key(self, tmp_path, capsys,
+                                               refuse_integration):
+        cfg = dict(TABLE1_CFG, simulate={"t_end": 10.0},
+                   poincare={"level": 0.3, "n_segment": 129})
+        assert run_cli(tmp_path, "poincare", cfg) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config"
+        assert err["error"]["key"] == "poincare.n_segment"
+
     @pytest.mark.parametrize("name", sorted(presets.catalog()))
     def test_preset_config_passes_the_table(self, name, monkeypatch):
         def refuse(*args, **kwargs):
@@ -255,6 +264,15 @@ class TestStabilityCommand:
         assert_printed(cd["tau_max"], 6.90401, 6)
         header = (tmp_path / "st_c0.csv").read_text().splitlines()[0]
         assert header == "omega,a_tau,b_tau"
+
+    def test_c0_csv_is_the_curve(self, tmp_path):
+        cfg = dict(TABLE1_CFG, stability={"n_c0": 17})
+        assert run_cli(tmp_path, "stability", cfg, "--out", "st") == 0
+        export.write_csv(tmp_path / "want.csv", export.C0_HEADER,
+                         export.c0_rows(chareq.c0_curve(17)))
+        got = (tmp_path / "st_c0.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert len(got.splitlines()) == 18
 
 
 # kappa above f: no delay has a nontrivial state, and the trivial state's
@@ -645,8 +663,7 @@ FUZZ_KEYS = {
     "embed": tuple(f"embed.{k}" for k in _SIM_KEYS + (
         "lags", "sampling", "t_start")),
     "poincare": tuple(f"simulate.{k}" for k in _SIM_KEYS) + tuple(
-        f"poincare.{k}" for k in ("alpha", "level", "direction", "t_start",
-                                  "n_segment")),
+        f"poincare.{k}" for k in ("alpha", "level", "direction", "t_start")),
     "sweep": tuple(f"sweep.{k}" for k in (
         "vary", "direction", "transient", "record", "record_mode", "rtol",
         "atol", "mesh", "mesh_points", "start", "stop", "n")),

@@ -122,7 +122,7 @@ class TestLyapunovRows:
 
 class TestC0Rows:
     def test_same_bytes_as_numpy_scalar_rows(self, tmp_path):
-        samples = chareq.c0_curve(2.8)
+        samples = chareq.c0_curve()
         samples[3, 1], samples[5, 2], samples[7, 0] = np.nan, -0.0, np.inf
         rows = export.c0_rows(samples)
         assert all(type(x) is float for row in rows for x in row)
