@@ -408,16 +408,18 @@ def _cmd_embed(cfg, p, run):
     return {"lags": s["lags"], "n_points": len(ts)}, EXIT_OK
 
 
-def _poincare_settings(cfg, p):
+def _poincare_settings(cfg, p, t_end):
     s = settings(cfg, "poincare", p)
     if s["alpha"] > p.tau:
         raise ConfigError("poincare.alpha", "must not exceed tau")
+    if t_end - s["t_start"] <= p.tau:
+        raise ConfigError("poincare.t_start", "needs more than tau to the end")
     return s
 
 
 def _cmd_poincare(cfg, p, run):
     s = settings(cfg, "simulate", p)
-    sec = _poincare_settings(cfg, p)
+    sec = _poincare_settings(cfg, p, s["t_end"])
     traj = _run_simulation(p, s, "simulate")
     return {"n_crossings": _poincare(sec, traj, run),
             "t_end": traj.t_end}, EXIT_OK
@@ -470,7 +472,6 @@ def _cmd_lyapunov(cfg, p, run):
     s = settings(cfg, "lyapunov", p)
     if s["m"] > s["n_mesh"] + 1:  # the QR of the bundle keeps n_mesh + 1
         raise ConfigError("lyapunov.m", "must not exceed n_mesh + 1")
-    sec = _poincare_settings(cfg, p) if "poincare" in cfg else None
     seed = cfg.get("seed", 0) if s["seed"] is None else s["seed"]
     grid = {"transient": s["transient"], "bundle_warmup": s["bundle_warmup"],
             "n_mesh": s["n_mesh"]}
@@ -478,6 +479,7 @@ def _cmd_lyapunov(cfg, p, run):
         span = lyapunov_span(p, s["horizon"], s["reorth"], **grid)
     except ValueError as exc:  # the table has checked the other settings
         raise ConfigError("lyapunov.horizon", str(exc)) from exc
+    sec = _poincare_settings(cfg, p, span.t_end) if "poincare" in cfg else None
     hist = resolve_history(p, s["history"], "lyapunov.history")
     # integrate the base once so an optional Poincare export can reuse it
     base = integrate(p, hist, span.t_end, rtol=s["rtol"], atol=s["atol"])
@@ -661,7 +663,8 @@ def main(argv=None) -> int:
         run = _Run(outdir, args.out or (preset_name or command
                                         if prefix is None else prefix))
         return _execute(command, cfg, run, preset_name)
-    except (ConfigError, KeyError, json.JSONDecodeError, OSError) as exc:
+    except (ConfigError, KeyError, json.JSONDecodeError, UnicodeDecodeError,
+            OSError) as exc:
         print(_error_json("config", str(exc), getattr(exc, "key", None)),
               file=sys.stderr)
         return EXIT_CONFIG

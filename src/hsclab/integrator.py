@@ -13,12 +13,10 @@ A History is data in one of two layouts, a cubic spline clipped at 0 or
 base*(1 + amplitude*cos(w*t)) (a constant has amplitude 0); the solver and
 trajectories read it through its one unchecked evaluation, ``History.at``.
 
-Adaptive runs are stepped by a compiled port of the step loop
-(``_kernel.c``), built with the system gcc on the first call into a cache
-next to this file and loaded with ctypes.  It keeps every formula's order,
-reads both history layouts natively, and gives the same knots and
-coefficients bit for bit.  Fixed-step runs, and machines where the build,
-the load or one of its load-time checks fails, use the Python loop, which
+Adaptive runs are stepped by a compiled port of the step loop in
+``_kernel.c`` (see ``_native``), with every formula's order kept and the
+same knots and coefficients bit for bit.  Fixed-step runs, and machines
+where it fails the load-time checks kept here, use the Python loop, which
 stays the oracle; ``kernel_status`` says which runs, and why.
 
 Trajectories store one power-basis quartic per accepted step and evaluate
@@ -30,16 +28,18 @@ and where it is not in use, its Python port does, with the same bits.
 
 from __future__ import annotations
 
+import ctypes
 import errno
 import math
 import os
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
 
+from . import _native
+from ._native import kernel_status
 from .model import ModelParams, steady_state
 
 __all__ = [
@@ -258,13 +258,10 @@ def integrate(p: ModelParams, history: History, t_end: float, *,
     Local error per step is kept within rtol/atol (defaults beyond typical,
     chosen for multi-decade horizons).  The first ``_SMOOTHING_ROUNDS``
     multiples of the delay are mandatory step boundaries.  Identical inputs
-    produce bit-identical trajectories.
-
-    Runs use the compiled step loop where it can be built (see
-    ``_kernel``); machines without it use the Python loop, which gives the
-    same knots and coefficients bit for bit.
+    produce bit-identical trajectories, from the compiled step loop or,
+    where it is not in use, the Python loop.
     """
-    lib = _kernel()
+    lib = _native.kernel()
     if lib is None:
         return _python_loop(p, history, t_end, rtol, atol, None)
     return _compiled_loop(lib, p, history, t_end, rtol, atol)
@@ -405,97 +402,6 @@ def _python_loop(p: ModelParams, history: History, t_end: float, rtol: float,
 # ---------------------------------------------------------------------------
 # the compiled step loop
 
-_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
-_KERNEL_CACHE = Path(__file__).with_name(".kernel_cache")
-_CC = "gcc"
-# IEEE arithmetic as written: no fused multiply-add, no flag that relaxes IEEE
-# semantics or tunes for the build machine
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-_UNTRIED = object()
-_lib = _UNTRIED
-_fallback = ""  # why the compiled kernel is not in use, once that is known
-
-
-def _kernel():
-    """The compiled kernel, built on the first call; None where it cannot be
-    built or loaded, or where it fails its load-time checks."""
-    global _lib
-    if _lib is _UNTRIED:
-        _lib = _load_kernel()
-    return _lib
-
-
-def kernel_status():
-    """What steps adaptive runs and roots events in this process:
-    "compiled", or {"python": why the compiled kernel is not in use}."""
-    return "compiled" if _kernel() is not None else {"python": _fallback}
-
-
-def _load_kernel():
-    global _fallback
-    import ctypes
-    import hashlib
-    import subprocess
-    import tempfile
-
-    cmd = [_CC, *_CFLAGS]
-    try:
-        source = _KERNEL_SOURCE.read_bytes()
-        key = hashlib.sha256(source + "\0".join(cmd).encode()).hexdigest()
-        path = _KERNEL_CACHE / f"kernel-{key[:16]}.so"
-        if not path.exists():
-            _KERNEL_CACHE.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=_KERNEL_CACHE)
-            os.close(fd)
-            try:
-                subprocess.run(cmd + ["-o", tmp, str(_KERNEL_SOURCE), "-lm"],
-                               check=True, capture_output=True,
-                               stdin=subprocess.DEVNULL, timeout=300)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-            # builds of earlier sources; another process may still use one
-            for stale in _KERNEL_CACHE.glob("kernel-*.so"):
-                if stale != path:
-                    try:
-                        stale.unlink()
-                    except OSError:
-                        pass
-        lib = ctypes.CDLL(str(path))
-    except FileNotFoundError as exc:
-        _fallback = (f"no compiler: {_CC} not found" if exc.filename == _CC
-                     else f"build error: {exc}")
-        return None
-    except subprocess.CalledProcessError as exc:
-        lines = exc.stderr.decode(errors="replace").strip().splitlines()
-        _fallback = "build error: " + (lines[-1] if lines else str(exc))
-        return None
-    except (OSError, subprocess.SubprocessError) as exc:
-        _fallback = f"build error: {exc}"
-        return None
-    ptr, dbl, n = ctypes.c_void_p, ctypes.c_double, ctypes.c_long
-    out = ctypes.POINTER
-    lib.hsc_history_at.restype = None
-    lib.hsc_history_at.argtypes = [ptr, ptr, ptr, n, ptr, n, ptr]
-    lib.hsc_integrate.restype = ctypes.c_int
-    lib.hsc_integrate.argtypes = [
-        ptr, ptr, ptr, ptr, n, ptr, n, dbl, dbl, dbl, dbl, dbl,
-        ctypes.c_longlong, out(ptr), out(ptr), out(n), out(dbl)]
-    lib.hsc_free.restype = None
-    lib.hsc_free.argtypes = [ptr]
-    lib.hsc_event_roots.restype = n
-    lib.hsc_event_roots.argtypes = [ptr, n, ctypes.c_int, dbl, ptr, ptr]
-    lib.hsc_lyapunov_block.restype = ctypes.c_int
-    lib.hsc_lyapunov_block.argtypes = [n, n, n, n] + [ptr] * 10
-    if not _reads_match(lib):
-        _fallback = "failed load-time check: history reads differ from History.at"
-        return None
-    if not _roots_match(lib):
-        _fallback = "failed load-time check: event roots differ from the Python port"
-        return None
-    return lib
-
 
 def _history_args(history: History):
     """The cosine constants and the spline arrays (or None) of a history,
@@ -557,11 +463,13 @@ def _roots_match(lib) -> bool:
     return True
 
 
+_native.load_check(_reads_match, "history reads differ from History.at")
+_native.load_check(_roots_match, "event roots differ from the Python port")
+
+
 def _compiled_loop(lib, p: ModelParams, history: History, t_end: float,
                    rtol: float, atol: float) -> Trajectory:
     """``_python_loop`` for adaptive runs, stepped by ``_kernel.c``."""
-    import ctypes
-
     stops = np.array(_stops(p, history, t_end, rtol, atol))
     ths = p.theta**p.s
     model = np.array([p.kappa, p.f * ths, ths, p.s, p.amplification, p.tau],
@@ -607,7 +515,7 @@ def _event_roots(coefs: np.ndarray, mode: int, level: float = 0.0):
     derivative cubics for ``_EXTREMA``, of the quartics less ``level`` for
     ``_LEVEL``, on the candidate segments.  From the compiled kernel where
     it is in use, else from its Python port; the two agree bit for bit."""
-    lib = _kernel()
+    lib = _native.kernel()
     if lib is None:
         return _python_event_roots(coefs, mode, level)
     return _compiled_event_roots(lib, coefs, mode, level)

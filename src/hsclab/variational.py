@@ -25,14 +25,12 @@ tables of all its intervals before advancing, a block of intervals per
 base-trajectory read (``_weight_blocks``); they are the tables
 ``integrate_variational`` builds for one interval.
 
-Each block's interval loop (advance, QR, sign fix) runs in one call into the
-compiled kernel (``hsc_lyapunov_block`` in ``_kernel.c``).  It calls scipy's
-BLAS and LAPACK through the function pointers that ``scipy.linalg.cython_blas``
-and ``cython_lapack`` export, as numpy calls its own, and gives the numpy
-loop's bits.  The first run of each bundle shape in a process compares the
-two on seeded bundles; where the kernel is not in use or the check fails,
-the numpy loop (``_numpy_block``) runs.  ``interval_loop`` says which runs,
-and why.
+Each block's interval loop (advance, QR, sign fix) runs in one call into
+``hsc_lyapunov_block`` of the compiled kernel (see ``_native``), which calls
+scipy's BLAS and LAPACK as numpy calls its own and gives the numpy loop's
+bits.  The first block of each bundle shape compares the two
+(``_block_matches``); where the kernel is not in use or the check fails, the
+numpy loop runs.  ``interval_loop`` says which runs, and why.
 """
 
 from __future__ import annotations
@@ -41,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .model import h_and_G
-from .integrator import Trajectory, _kernel, kernel_status
+from .integrator import Trajectory
 
 __all__ = ["PerturbationBundle", "integrate_variational", "orthonormalize",
            "interval_loop"]
@@ -231,48 +230,12 @@ def _advance(columns, weights, n):
 # ---------------------------------------------------------------------------
 # the interval loop of a Lyapunov run
 
-_pointers: tuple[int, ...] = ()  # scipy's dgemv, ddot, dgeqrf and dorgqr
-_loops: dict = {}  # (n_mesh, m) -> the interval loop of that bundle shape
-
 
 def interval_loop(n_mesh: int, m: int):
     """What advances and orthonormalises a bundle of m columns on n_mesh + 1
     mesh values in this process: "compiled", or {"python": why the compiled
     block is not in use}.  Decided on the first call for each shape."""
-    key = (n_mesh, m)
-    if key not in _loops:
-        _loops[key] = _choose_loop(n_mesh, m)
-    return _loops[key]
-
-
-def _choose_loop(n: int, m: int):
-    global _pointers
-    if _kernel() is None:
-        return {"python": "no compiled kernel: " + kernel_status()["python"]}
-    try:
-        _pointers = _pointers or _scipy_pointers()
-    except (ImportError, AttributeError, KeyError, ValueError) as exc:
-        return {"python": f"no scipy BLAS/LAPACK pointers: {exc}"}
-    if not _block_matches(n, m):
-        return {"python": "failed load-time check: the compiled block differs "
-                          "from the numpy loop"}
-    return "compiled"
-
-
-def _scipy_pointers() -> tuple[int, ...]:
-    """The addresses of scipy's dgemv, ddot, dgeqrf and dorgqr, in the order
-    hsc_lyapunov_block takes them, from the capsules scipy exports."""
-    import ctypes
-    from scipy.linalg import cython_blas, cython_lapack
-
-    api = ctypes.pythonapi
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", api))
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
-                                ctypes.c_char_p)(("PyCapsule_GetPointer", api))
-    blas, lapack = cython_blas.__pyx_capi__, cython_lapack.__pyx_capi__
-    caps = (blas["dgemv"], blas["ddot"], lapack["dgeqrf"], lapack["dorgqr"])
-    return tuple(pointer(cap, name(cap)) for cap in caps)
+    return _native.block_loop(n_mesh, m, _block_matches)
 
 
 def _block_matches(n: int, m: int) -> bool:
@@ -323,10 +286,10 @@ def _compiled_block(columns, weights, n, growth):
             or growth.dtype != float or not growth.flags.c_contiguous):
         raise ValueError("the columns, weights and growth rows of a block "
                          "do not fit together")
-    status = _kernel().hsc_lyapunov_block(
+    status = _native.kernel().hsc_lyapunov_block(
         n, cols.shape[1], g.shape[0], g.shape[1], cols.ctypes.data,
         g.ctypes.data, u0.ctypes.data, um.ctypes.data, u1.ctypes.data,
-        growth.ctypes.data, *_pointers)
+        growth.ctypes.data, *_native.status.pointers)
     if status == 4:
         raise MemoryError("Lyapunov block buffers")
     if status == 5:  # as numpy.linalg.qr reports it

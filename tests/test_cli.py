@@ -3,7 +3,8 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hsclab import chareq, cli, export, integrator, presets, variational
+from hsclab import (_native, chareq, cli, export, integrator, presets,
+                    variational)
 from hsclab.cli import main
 from conftest import assert_printed
 
@@ -114,6 +115,14 @@ class TestConfigValidation:
     def test_missing_config_and_preset(self, tmp_path, capsys):
         assert main(["steady", "--outdir", str(tmp_path)]) == 2
 
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        # a UnicodeDecodeError is a ValueError, and exited 3 as numerical
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["steady", "--config", str(path),
+                     "--outdir", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+
     @pytest.fixture
     def refuse_integration(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -207,6 +216,22 @@ class TestConfigValidation:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "config"
         assert err["error"]["key"] == "poincare.alpha"
+
+    @pytest.mark.parametrize("command, section, t_start", [
+        ("poincare", {"simulate": {"t_end": 50.0}}, 100.0),
+        ("poincare", {"simulate": {"t_end": 50.0}}, 47.5),
+        ("lyapunov", {"lyapunov": {"horizon": 400.0}}, 1e4),
+    ])
+    def test_poincare_window_within_one_delay_is_config_error(
+            self, tmp_path, capsys, refuse_integration, command, section,
+            t_start):
+        # both exited 3 after the whole run: lyapunov without its csv
+        cfg = dict(TABLE1_CFG, poincare={"level": 1.0, "t_start": t_start},
+                   **section)
+        assert run_cli(tmp_path, command, cfg) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config"
+        assert err["error"]["key"] == "poincare.t_start"
 
     def test_poincare_n_segment_is_unknown_key(self, tmp_path, capsys,
                                                refuse_integration):
@@ -379,8 +404,8 @@ class TestSimulateAndEvents:
                              "events": {"extrema": True, "levels": [0.3]}})
         status = integrator.kernel_status()
         assert run_cli(tmp_path, "simulate", cfg, "--out", "a") == 0
-        monkeypatch.setattr(integrator, "_lib", None)
-        monkeypatch.setattr(integrator, "_fallback", "no compiler: cc not found")
+        monkeypatch.setattr(_native.status, "lib", None)
+        monkeypatch.setattr(_native.status, "why", "no compiler: cc not found")
         assert run_cli(tmp_path, "simulate", cfg, "--out", "b") == 0
 
         def manifest(prefix):
@@ -478,7 +503,7 @@ class TestLyapunovCommand:
                              "history": {"kind": "steady_state_perturbation",
                                          "amplitude": 0.05}})
         code = run_cli(tmp_path, "lyapunov", cfg, "--out", "a")
-        monkeypatch.setattr(variational, "_loops", {})
+        monkeypatch.setattr(_native.status, "blocks", {})
         monkeypatch.setattr(variational, "_block_matches", lambda n, m: False)
         assert run_cli(tmp_path, "lyapunov", cfg, "--out", "b") == code
 

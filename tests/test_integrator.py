@@ -1,5 +1,7 @@
 
+import re
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from hsclab import integrator
+from hsclab import _native, integrator
 from hsclab.integrator import (Event, History, StepSizeUnderflow, Trajectory,
                                _dedupe, detect_events, find_extrema,
                                find_level_crossings, history_from_trajectory,
@@ -550,7 +552,7 @@ class TestEventRoots:
     def test_python_port_runs_without_the_kernel(self, monkeypatch):
         traj = _fig15("cosine")
         want = (find_extrema(traj), find_level_crossings(traj, 0.4))
-        monkeypatch.setattr(integrator, "_lib", None)
+        monkeypatch.setattr(_native.status, "lib", None)
         assert (find_extrema(traj), find_level_crossings(traj, 0.4)) == want
 
 
@@ -559,7 +561,7 @@ class TestEventRoots:
 
 @pytest.fixture
 def kernel():
-    lib = integrator._kernel()
+    lib = _native.kernel()
     if lib is None:
         pytest.skip("the compiled step loop cannot be built here")
     return lib
@@ -666,31 +668,31 @@ class TestKernelAgainstPythonLoop:
 class TestKernelBuild:
     def test_in_use_where_the_compiler_is(self):
         # otherwise the benchmark could measure the Python loop unnoticed
-        if shutil.which(integrator._CC) is None:
-            pytest.skip(f"no {integrator._CC} on PATH")
-        assert integrator._kernel() is not None
+        if shutil.which(_native._CC) is None:
+            pytest.skip(f"no {_native._CC} on PATH")
+        assert _native.kernel() is not None
 
     def test_status_compiled(self, kernel):
         assert integrator.kernel_status() == "compiled"
 
     @pytest.fixture
     def fresh_build(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(integrator, "_lib", integrator._UNTRIED)
-        monkeypatch.setattr(integrator, "_fallback", "")
-        monkeypatch.setattr(integrator, "_KERNEL_CACHE", tmp_path / "cache")
+        monkeypatch.setattr(_native.status, "lib", _native._UNTRIED)
+        monkeypatch.setattr(_native.status, "why", "")
+        monkeypatch.setattr(_native, "_CACHE", tmp_path / "cache")
         return tmp_path / "cache"
 
     def test_status_names_the_missing_compiler(self, monkeypatch,
                                                fresh_build):
-        monkeypatch.setattr(integrator, "_CC", "hsclab-no-such-compiler")
+        monkeypatch.setattr(_native, "_CC", "hsclab-no-such-compiler")
         assert integrator.kernel_status() == {
             "python": "no compiler: hsclab-no-such-compiler not found"}
 
     def test_status_names_the_build_error(self, monkeypatch, fresh_build):
-        if shutil.which(integrator._CC) is None:
-            pytest.skip(f"no {integrator._CC} on PATH")
-        monkeypatch.setattr(integrator, "_CFLAGS",
-                            integrator._CFLAGS + ("-no-such-flag",))
+        if shutil.which(_native._CC) is None:
+            pytest.skip(f"no {_native._CC} on PATH")
+        monkeypatch.setattr(_native, "_CFLAGS",
+                            _native._CFLAGS + ("-no-such-flag",))
         why = integrator.kernel_status()["python"]
         assert why.startswith("build error: ") and "no-such-flag" in why
 
@@ -702,46 +704,46 @@ class TestKernelBuild:
             return seg, np.nextafter(theta, 1.0)
 
         monkeypatch.setattr(integrator, "_python_event_roots", shifted)
-        monkeypatch.setattr(integrator, "_fallback", "")
-        assert integrator._load_kernel() is None
-        assert integrator._fallback == ("failed load-time check: event roots "
-                                        "differ from the Python port")
+        monkeypatch.setattr(_native.status, "why", "")
+        assert _native._load() is None
+        assert _native.status.why == ("failed load-time check: event roots "
+                                      "differ from the Python port")
 
     def test_missing_compiler_falls_back(self, monkeypatch, capfd,
                                          fresh_build):
-        monkeypatch.setattr(integrator, "_CC", "hsclab-no-such-compiler")
+        monkeypatch.setattr(_native, "_CC", "hsclab-no-such-compiler")
         h = History.steady_state_perturbation(_chaotic(), 0.5, "cosine")
         traj = integrate(_chaotic(), h, 200.0)
-        assert integrator._lib is None
+        assert _native.status.lib is None
         want = _python_loop(_chaotic(), h, 200.0)
         assert np.array_equal(traj.knots, want.knots)
         assert np.array_equal(traj.coeffs, want.coeffs)
         assert capfd.readouterr() == ("", "")
 
     def test_failed_build_is_silent(self, monkeypatch, capfd, fresh_build):
-        if shutil.which(integrator._CC) is None:
-            pytest.skip(f"no {integrator._CC} on PATH")
-        monkeypatch.setattr(integrator, "_CFLAGS",
-                            integrator._CFLAGS + ("-no-such-flag",))
-        assert integrator._kernel() is None
+        if shutil.which(_native._CC) is None:
+            pytest.skip(f"no {_native._CC} on PATH")
+        monkeypatch.setattr(_native, "_CFLAGS",
+                            _native._CFLAGS + ("-no-such-flag",))
+        assert _native.kernel() is None
         assert capfd.readouterr() == ("", "")
         assert list(fresh_build.iterdir()) == []
 
     def test_build_leaves_one_library(self, fresh_build):
-        if shutil.which(integrator._CC) is None:
-            pytest.skip(f"no {integrator._CC} on PATH")
-        assert integrator._kernel() is not None
+        if shutil.which(_native._CC) is None:
+            pytest.skip(f"no {_native._CC} on PATH")
+        assert _native.kernel() is not None
         assert [f.suffix for f in fresh_build.iterdir()] == [".so"]
 
     def test_build_prunes_stale_libraries(self, fresh_build):
-        if shutil.which(integrator._CC) is None:
-            pytest.skip(f"no {integrator._CC} on PATH")
+        if shutil.which(_native._CC) is None:
+            pytest.skip(f"no {_native._CC} on PATH")
         fresh_build.mkdir()
         (fresh_build / "kernel-0123456789abcdef.so").write_bytes(b"old")
         # one that cannot be removed does not stop the build
         (fresh_build / "kernel-fedcba9876543210.so").mkdir()
         (fresh_build / "notes.txt").write_text("kept")
-        assert integrator._kernel() is not None
+        assert _native.kernel() is not None
         left = sorted(f.name for f in fresh_build.iterdir())
         assert len(left) == 3 and left[2] == "notes.txt"
         assert "kernel-fedcba9876543210.so" in left
@@ -751,7 +753,22 @@ class TestKernelBuild:
         at = History.at
         monkeypatch.setattr(History, "at",
                             lambda self, t: np.nextafter(at(self, t), np.inf))
-        assert integrator._load_kernel() is None
+        assert _native._load() is None
+
+    def test_prototypes_cover_the_exports(self):
+        # an entry point exported but not declared, or declared but gone
+        exported = re.findall(r"^(?!static\b)\w[\w \*]*\b(hsc_\w+)\s*\(",
+                              _native._SOURCE.read_text(), re.MULTILINE)
+        assert sorted(exported) == sorted(_native._PROTOTYPES)
+
+    def test_source_compiles_warning_free(self, tmp_path):
+        if shutil.which(_native._CC) is None:
+            pytest.skip(f"no {_native._CC} on PATH")
+        flags = _native._CFLAGS + ("-Wall", "-Wextra", "-Werror")
+        build = subprocess.run(
+            [_native._CC, *flags, "-o", str(tmp_path / "kernel.so"),
+             str(_native._SOURCE), "-lm"], capture_output=True, text=True)
+        assert build.returncode == 0, build.stderr
 
 
 class TestPositivityBoundedness:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hsclab import chareq, integrator, variational
+from hsclab import _native, chareq, integrator, variational
 from hsclab.analysis import (LyapunovSpectrum, lyapunov_span,
                              lyapunov_spectrum)
 from hsclab.integrator import History, Trajectory, integrate
@@ -389,7 +389,7 @@ class TestCompiledLoop:
         def not_called(*args):
             raise AssertionError("the compiled block ran")
 
-        monkeypatch.setattr(variational, "_loops", {})
+        monkeypatch.setattr(_native.status, "blocks", {})
         monkeypatch.setattr(variational, "_block_matches", lambda n, m: False)
         monkeypatch.setattr(variational, "_compiled_block", not_called)
         got = lyapunov_spectrum(p, chaos_traj.history, base=chaos_traj, **kw)
@@ -401,9 +401,9 @@ class TestCompiledLoop:
         assert integrator.kernel_status() == kernel
 
     def test_no_kernel_runs_the_numpy_loop(self, monkeypatch):
-        monkeypatch.setattr(variational, "_loops", {})
-        monkeypatch.setattr(integrator, "_lib", None)
-        monkeypatch.setattr(integrator, "_fallback", "no compiler: cc not found")
+        monkeypatch.setattr(_native.status, "blocks", {})
+        monkeypatch.setattr(_native.status, "lib", None)
+        monkeypatch.setattr(_native.status, "why", "no compiler: cc not found")
         assert variational.interval_loop(128, 3) == {
             "python": "no compiled kernel: no compiler: cc not found"}
 
