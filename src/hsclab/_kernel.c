@@ -1,6 +1,7 @@
 /* Compiled method-of-steps loop of hsclab.integrator.integrate, the
- * event-root search of its find_extrema and find_level_crossings, and the
- * interval loop of hsclab.analysis.lyapunov_spectrum.
+ * event-root search of its find_extrema and find_level_crossings, the
+ * interval loop of hsclab.analysis.lyapunov_spectrum, and the nullcline and
+ * slow-manifold grids of hsclab.slowman.
  *
  * A port of integrator._python_loop for adaptive runs: the same Dormand-Prince
  * 5(4) step, error control, forced stops, quartic dense output and delayed
@@ -10,7 +11,8 @@
  * and never with a flag that relaxes IEEE semantics.  History reads are
  * native: the cosine layout through libm cos, the spline by scipy's PPoly
  * rules.  The event roots equal their Python port bit for bit under the
- * same build flags, and the interval loop (at the end) the numpy loop.
+ * same build flags, the interval loop the numpy loop, and the grids (at the
+ * end) their Python ports.
  */
 #include <float.h>
 #include <math.h>
@@ -478,4 +480,334 @@ out:
     free(sum);
     free(work);
     return status;
+}
+
+/* ------------------------------------------------------------------------
+ * The slow-manifold grids of hsclab.slowman: the nullcline companions
+ * (slowman.nullcline) and, at each reference concentration of a profile,
+ * h, h' and the real characteristic values (model._hill, chareq.real_roots
+ * with its Lambert-W).  Every formula keeps the order of the Python it
+ * ports, so the results are equal to it bit for bit.  A point whose Python
+ * would leave this scalar path (a power that overflows, where Python takes
+ * h in its far form; a math domain error or a zero divisor, where Python
+ * raises; a brentq that sees a NaN or does not converge) is reported, and
+ * the caller takes that point from Python.  Every power takes its exponent
+ * as data: gcc folds pow(x, 2.0) into x*x, which is not always the
+ * correctly rounded pow that Python's ** calls.
+ */
+
+enum { Q_NOW = 0, Q_DELAYED = 1 };
+
+typedef struct {
+    double kappa, fths, ths, s, amp, theta, xtol, rtol;  /* fths = f*theta**s */
+    double level;
+    int given, bad;  /* bad: this point is left to Python */
+} nullcline_t;
+
+/* f*theta**s*q / (theta**s + q**s), where Python neither overflows in q**s
+ * nor divides by zero */
+static double flux(nullcline_t *n, double q)
+{
+    double qs = pow(q, n->s);
+    if (isinf(qs) || n->ths + qs == 0.0) n->bad = 1;
+    return n->fths * q / (n->ths + qs);
+}
+
+static double nullcline_fn(nullcline_t *n, double x)
+{
+    double v = n->given == Q_NOW ? n->amp * flux(n, x) - n->level
+                                 : n->kappa * x + flux(n, x) - n->level;
+    if (isnan(v)) n->bad = 1;
+    return v;
+}
+
+/* scipy.optimize.brentq, its C routine (Brent 1973) with scipy's stopping
+ * rule, on a sign change of nullcline_fn on [xa, xb].  Returns 0 with the
+ * root, or 1 where scipy raises or the point is left to Python. */
+static int brentq(nullcline_t *n, double xa, double xb, long maxiter, double *root)
+{
+    double xpre = xa, xcur = xb, xblk = 0.0, fblk = 0.0, spre = 0.0, scur = 0.0;
+    double fpre = nullcline_fn(n, xpre), fcur = nullcline_fn(n, xcur);
+    if (n->bad) return 1;
+    if (fpre == 0.0) { *root = xpre; return 0; }
+    if (fcur == 0.0) { *root = xcur; return 0; }
+    if (signbit(fpre) == signbit(fcur)) return 1;
+    for (long i = 0; i < maxiter; i++) {
+        if (fpre != 0.0 && fcur != 0.0 && signbit(fpre) != signbit(fcur)) {
+            xblk = xpre;
+            fblk = fpre;
+            spre = scur = xcur - xpre;
+        }
+        if (fabs(fblk) < fabs(fcur)) {
+            xpre = xcur; xcur = xblk; xblk = xpre;
+            fpre = fcur; fcur = fblk; fblk = fpre;
+        }
+        double delta = (n->xtol + n->rtol * fabs(xcur)) / 2;
+        double sbis = (xblk - xcur) / 2;
+        if (fcur == 0.0 || fabs(sbis) < delta) { *root = xcur; return 0; }
+        if (fabs(spre) > delta && fabs(fcur) < fabs(fpre)) {
+            double stry;
+            if (xpre == xblk) {  /* interpolate */
+                stry = -fcur * (xcur - xpre) / (fcur - fpre);
+            } else {             /* extrapolate */
+                double dpre = (fpre - fcur) / (xpre - xcur);
+                double dblk = (fblk - fcur) / (xblk - xcur);
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre));
+            }
+            double lim = 3 * fabs(sbis) - delta;
+            if (2 * fabs(stry) < (fabs(spre) < lim ? fabs(spre) : lim)) {
+                spre = scur;     /* good short step */
+                scur = stry;
+            } else {
+                spre = sbis;
+                scur = sbis;
+            }
+        } else {
+            spre = sbis;
+            scur = sbis;
+        }
+        xpre = xcur;
+        fpre = fcur;
+        if (fabs(scur) > delta) xcur += scur;
+        else xcur += (sbis > 0 ? delta : -delta);
+        fcur = nullcline_fn(n, xcur);
+        if (n->bad) return 1;
+    }
+    return 1;
+}
+
+/* slowman.nullcline at one value, with ends[1..nt] its turning points: the
+ * number of solutions written to out in increasing order, or -1 */
+static int nullcline_at(nullcline_t *n, double value, double *ends, int nt,
+                        long maxiter, double *out)
+{
+    double vals[3] = {0.0}, a, fa, b, fb, r;
+    int k = 0;
+    if (!(value >= 0.0)) return -1;  /* Python raises on a negative value */
+    n->bad = 0;
+    n->level = n->given == Q_NOW ? n->kappa * value + flux(n, value)
+                                 : n->amp * flux(n, value);
+    if (n->bad) return -1;
+    if (n->level == 0.0) {
+        out[0] = 0.0;
+        return 1;
+    }
+    for (int i = 0; i <= nt; i++) vals[i] = nullcline_fn(n, ends[i]);
+    if (n->bad) return -1;
+    for (int i = 0; i <= nt; i++)
+        if (vals[i] == 0.0) out[k++] = ends[i];
+    for (int i = 0; i < nt; i++) {
+        if (pymin(vals[i], vals[i + 1]) < 0.0 && 0.0 < pymax(vals[i], vals[i + 1])) {
+            if (brentq(n, ends[i], ends[i + 1], maxiter, &r)) return -1;
+            out[k++] = r;
+        }
+    }
+    a = ends[nt];
+    fa = vals[nt];
+    if (fa != 0.0) {
+        b = pymax(2.0 * a, n->theta);
+        fb = nullcline_fn(n, b);
+        while (!n->bad && 0.0 < fb / fa && fb / fa < 1.0) {
+            a = b;
+            fa = fb;
+            b = pymin(2.0 * b, DBL_MAX);
+            fb = nullcline_fn(n, b);
+        }
+        if (n->bad) return -1;
+        if (fb / fa <= 0.0) {
+            if (brentq(n, a, b, maxiter, &r)) return -1;
+            out[k++] = r;
+        }
+    }
+    for (int i = 1; i < k; i++)  /* sorted(), stable */
+        for (int j = i; j > 0 && out[j] < out[j - 1]; j--) {
+            r = out[j]; out[j] = out[j - 1]; out[j - 1] = r;
+        }
+    return k;
+}
+
+/* slowman.nullcline(p, given, values[i]) for i < n.  model holds kappa,
+ * f*theta**s, theta**s, s, A, theta and brentq's xtol and rtol; turns the
+ * nt <= 2 turning points (model.h_prime_level).  count[i] is the number of
+ * solutions, written to roots[i*w ...] with w = 2*(nt + 1), or -1 where the
+ * value is left to Python. */
+void hsc_nullcline(const double *model, int given, const double *turns, long nt,
+                   const double *values, long n, long maxiter, long long *count,
+                   double *roots)
+{
+    nullcline_t st = {model[0], model[1], model[2], model[3], model[4], model[5],
+                      model[6], model[7], 0.0, given, 0};
+    double ends[3] = {0.0};
+    long w = 2 * (nt + 1);
+    for (long i = 0; i < nt && i < 2; i++) ends[i + 1] = turns[i];
+    for (long i = 0; i < n; i++)
+        count[i] = nt > 2 ? -1 : nullcline_at(&st, values[i], ends, (int)nt, maxiter,
+                                              roots + i * w);
+}
+
+typedef struct {
+    double e, inv_e, three;  /* math.e, math.exp(-1.0), and 3.0 for p**3 */
+} lambert_t;
+
+/* Python's math.exp, which raises where the result overflows */
+static int py_exp(double x, double *y)
+{
+    *y = exp(x);
+    return isinf(*y) && isfinite(x);
+}
+
+/* Python's math.log of a float, which raises at and below zero */
+static int py_log(double x, double *y)
+{
+    *y = log(x);
+    return !(x > 0.0) && !isnan(x);
+}
+
+/* chareq._w_from_log for a real lx: W_0(e^lx), or W_-1(-e^lx) for lx far
+ * below -1.  Returns 1 where Python raises. */
+static int w_from_log(double lx, double *w_out)
+{
+    double w, lw;
+    if (py_log(fabs(lx), &lw)) return 1;
+    w = lx - lw;
+    for (int i = 0; i < 60; i++) {
+        if (py_log(fabs(w), &lw)) return 1;  /* also where w == 0 */
+        double num = w + lw - lx;
+        double den = 1.0 + 1.0 / w;
+        if (den == 0.0) return 1;
+        double dw = num / den;
+        w -= dw;
+        if (fabs(dw) <= 1e-16 * fabs(w)) break;
+    }
+    *w_out = w;
+    return 0;
+}
+
+/* chareq.lambert_w on branch 0 or -1.  Returns 1 where Python raises. */
+static int lambert_w(const lambert_t *c, int branch, double x, double *w_out)
+{
+    double rad, p, w, l1, l2;
+    if (isnan(x)) return 1;
+    rad = 2.0 * (c->e * x + 1.0);
+    if (rad < 0.0) {
+        if (rad > -1e-12) rad = 0.0;
+        else return 1;
+    }
+    if (branch == -1 && x >= 0.0) return 1;
+    if (rad == 0.0) {
+        *w_out = -1.0;
+        return 0;
+    }
+    p = sqrt(rad);
+    if (branch == 0) {
+        if (x > 1e300) {
+            if (py_log(x, &l1)) return 1;
+            return w_from_log(l1, w_out);
+        }
+        if (x < -0.31) {
+            w = -1.0 + p - p * p / 3.0 + 11.0 * pow(p, c->three) / 72.0;
+        } else if (x < 2.0) {
+            w = x > -0.25 ? log1p(x) : x * (1.0 - x);
+            if (w <= -1.0) w = -0.99;
+        } else {
+            if (py_log(x, &l1) || py_log(l1, &l2)) return 1;
+            w = l1 - l2;
+        }
+    } else {
+        if (x > -0.31) {
+            if (py_log(-x, &l1) || py_log(-l1, &l2)) return 1;
+            w = l1 - l2 + l2 / l1;
+        } else {
+            w = -1.0 - p - p * p / 3.0 - 11.0 * pow(p, c->three) / 72.0;
+        }
+    }
+    for (int i = 0; i < 100; i++) {  /* Halley */
+        double ew;
+        if (py_exp(w, &ew)) return 1;
+        double fw = w * ew - x;
+        if (fw == 0.0) break;
+        double wp1 = w + 1.0;
+        if (2.0 * wp1 == 0.0) return 1;
+        double denom = ew * wp1 - (w + 2.0) * fw / (2.0 * wp1);
+        if (denom == 0.0) return 1;
+        double dw = fw / denom;
+        w -= dw;
+        if (branch == -1 && w > -1.0) w = -1.0 - 1e-16;
+        if (branch == 0 && w < -1.0) w = -1.0 + 1e-16;
+        if (fabs(dw) <= 1e-16 * (1.0 + fabs(w))) break;
+    }
+    *w_out = w;
+    return 0;
+}
+
+/* chareq.real_roots(LinearizationCoeffs(a, b, tau)): their real parts, in
+ * its order, written to r; returns their number, or -1 where Python raises */
+static int real_roots(const lambert_t *c, double a, double b, double tau, double *r)
+{
+    double arg, x, w, w1, lg;
+    if (b == 0.0) {
+        r[0] = a;
+        return 1;
+    }
+    if (py_log(fabs(b) * tau, &lg)) return -1;
+    arg = -a * tau + lg;
+    if (b > 0.0) {
+        if (arg > 690.0) {
+            if (w_from_log(arg, &w)) return -1;
+        } else if (lambert_w(c, 0, exp(arg), &w)) {
+            return -1;
+        }
+        r[0] = a + w / tau;
+        return 1;
+    }
+    x = arg < 690.0 ? -exp(arg) : -INFINITY;
+    if (x < -c->inv_e) {
+        if (x > -c->inv_e * (1.0 + 1e-13)) {
+            r[0] = a - 1.0 / tau;  /* coalesced double root */
+            return 1;
+        }
+        return 0;
+    }
+    if (x == -c->inv_e) {
+        r[0] = a - 1.0 / tau;
+        return 1;
+    }
+    if (lambert_w(c, 0, x, &w)) return -1;
+    if (arg > -700.0) {  /* chareq._wm1_from_log */
+        if (lambert_w(c, -1, -exp(arg), &w1)) return -1;
+    } else if (w_from_log(arg, &w1)) {
+        return -1;
+    }
+    r[0] = a + w / tau;
+    r[1] = a + w1 / tau;
+    if (-r[1] < -r[0]) {  /* sorted by -re, stable */
+        x = r[0]; r[0] = r[1]; r[1] = x;
+    }
+    return 2;
+}
+
+/* At each q[i] (i < n) of a slow-manifold profile: h, h' (model._hill) and
+ * the real characteristic values of the linearisation there, written to
+ * out[4i ...] as h, h', root, root, with count[i] the number of roots, or
+ * -1 where the point is left to Python.  model holds kappa, f*theta**s,
+ * theta**s, s, A, tau, math.e, math.exp(-1.0), and the exponents 2.0 and
+ * 3.0 of _hill's den**2 and lambert_w's p**3. */
+void hsc_manifold_roots(const double *model, const double *q, long n, double *out,
+                        long long *count)
+{
+    double kappa = model[0], fths = model[1], ths = model[2], s = model[3];
+    double amp = model[4], tau = model[5], two = model[8];
+    lambert_t c = {model[6], model[7], model[9]};
+    for (long i = 0; i < n; i++) {
+        double *o = out + 4 * i, qs, den, den2;
+        count[i] = -1;
+        if (!(q[i] > 0.0)) continue;
+        qs = pow(q[i], s);
+        den = ths + qs;
+        den2 = pow(den, two);
+        if (isinf(qs) || isinf(den2) || den == 0.0 || den2 == 0.0) continue;
+        o[0] = fths * q[i] / den;
+        o[1] = fths * (ths + (1.0 - s) * qs) / den2;
+        count[i] = real_roots(&c, -kappa - o[1], amp * o[1], tau, o + 2);
+    }
 }

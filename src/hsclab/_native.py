@@ -2,9 +2,10 @@
 
 The first call builds it with the system gcc into a cache next to this file,
 keyed by the source and the command, and loads it with ctypes.  The load-time
-checks stay next to the ports they compare, in ``integrator`` and
-``variational``; this module runs them, those given to ``load_check`` on the
-load and a block check on the first block of each bundle shape.
+checks stay next to the ports they compare, in ``integrator``, ``slowman``
+and ``variational``; this module runs them, those given to ``load_check`` on
+the load (or when given, where the library is loaded already) and a block
+check on the first block of each bundle shape.
 """
 
 import contextlib
@@ -32,6 +33,8 @@ _PROTOTYPES = {
     "hsc_free": (None, _P),
     "hsc_event_roots": (_N, _P, _N, _I, _D, _P, _P),
     "hsc_lyapunov_block": (_I, _N, _N, _N, _N) + (_P,) * 10,
+    "hsc_nullcline": (None, _P, _I, _P, _N, _P, _N, _N, _P, _P),
+    "hsc_manifold_roots": (None, _P, _P, _N, _P, _P),
 }
 _UNTRIED = object()
 # what is in use in this process: the checked library (None where it is not
@@ -42,9 +45,12 @@ _checks = []  # (check, what differs when it fails), in the order run
 
 
 def load_check(check, what: str):
-    """Run ``check(lib) -> bool`` on each load after this call; where it
-    returns False, the library is not used, because ``what``."""
+    """Run ``check(lib) -> bool`` on each load, and now where the library is
+    loaded already; where it returns False, the library is not used, because
+    ``what``."""
     _checks.append((check, what))
+    if status.lib not in (_UNTRIED, None) and not check(status.lib):
+        status.lib, status.why = None, "failed load-time check: " + what
 
 
 def kernel():
@@ -55,8 +61,9 @@ def kernel():
 
 
 def kernel_status():
-    """What steps adaptive runs and roots events in this process:
-    "compiled", or {"python": why the compiled kernel is not in use}."""
+    """What steps adaptive runs, roots events and solves the slow-manifold
+    grids in this process: "compiled", or {"python": why the compiled
+    kernel is not in use}."""
     return "compiled" if kernel() is not None else {"python": status.why}
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "CriticalDelays",
     "StabilityAssessment",
     "IncompleteRootCoverageWarning",
+    "EmptyRootWindow",
     "lambert_w",
     "coeffs_at",
     "linearize_at",
@@ -61,6 +62,14 @@ _INV_E = math.exp(-1.0)
 
 class IncompleteRootCoverageWarning(UserWarning):
     """A root search could not be reconciled with the winding count."""
+
+
+class EmptyRootWindow(ValueError):
+    """re_min lies at or above re_max, the top of the root search window."""
+
+    def __init__(self, re_max: float):
+        super().__init__("empty search window: re_min above the root cap")
+        self.re_max = re_max
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +314,7 @@ def complex_roots(c: LinearizationCoeffs, re_min: float,
         return []
     re_max = real_part_cap(c) + 1.0
     if re_max <= re_min:
-        raise ValueError("empty search window: re_min above the root cap")
+        raise EmptyRootWindow(re_max)
 
     # the count first: its contour bounds the window, and so k_max
     target = _expected_pair_count(c, re_min, re_max, im_max)

@@ -4,9 +4,10 @@ data exports.
 One JSON config document drives every command; flags override config keys
 via dotted paths (``--set lyapunov.horizon=30000``).  Each run writes its
 documented CSV/JSON data files plus a run-manifest JSON holding the fully
-resolved configuration and version stamps, and for a command that
-integrates, whether the compiled kernel or the Python loop ran (for
-``lyapunov`` also its interval loop's, under ``interval_loop``).  Every
+resolved configuration and version stamps, and for a command that uses
+the compiled kernel (one that integrates, or ``slowman``), whether the
+kernel or the Python ports ran (for ``lyapunov`` also its interval loop's,
+under ``interval_loop``).  Every
 setting has one row in a table of type, default and range, and each command
 checks its sections against it before computing anything.  Exit codes: 0 success, 2 config
 error, 3 numerical failure, 4 unconverged result (data still written).
@@ -332,16 +333,16 @@ def _cmd_stability(cfg, p, run):
 def _cmd_roots(cfg, p, run):
     s = settings(cfg, "roots", p)
     c, q_eq = _stability_coeffs(p, s["at"], "roots")
-    # complex_roots searches below this cap and rejects an empty window
-    cap = chareq.real_part_cap(c) + 1.0
-    if c.b != 0.0 and s["re_min"] >= cap:
-        raise ConfigError("roots.re_min", f"must lie below the root cap {cap!r}")
     code = EXIT_OK
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IncompleteRootCoverageWarning)
-        roots = chareq.real_roots(c)
-        roots += chareq.complex_roots(c, re_min=s["re_min"],
-                                      im_max=s["im_max"])
+        try:
+            pairs = chareq.complex_roots(c, re_min=s["re_min"],
+                                         im_max=s["im_max"])
+        except chareq.EmptyRootWindow as exc:
+            raise ConfigError("roots.re_min", "must lie below the root cap "
+                              f"{exc.re_max!r}") from None
+        roots = chareq.real_roots(c) + pairs
         if any(issubclass(w.category, IncompleteRootCoverageWarning)
                for w in caught):
             code = EXIT_UNCONVERGED
@@ -525,8 +526,10 @@ def _cmd_slowman(cfg, p, run):
     return out, EXIT_OK
 
 
-# the commands that integrate: their manifests record the loop that ran
-_INTEGRATING = ("simulate", "embed", "poincare", "sweep", "lyapunov")
+# the commands that use the compiled kernel: their manifests record whether
+# it ran
+_KERNEL_COMMANDS = ("simulate", "embed", "poincare", "sweep", "lyapunov",
+                    "slowman")
 
 _HANDLERS = {
     "steady": _cmd_steady,
@@ -591,7 +594,7 @@ def _execute(command: str, cfg: dict, run: _Run,
         },
         "wall_time_s": time.time() - started,
     }
-    if command in _INTEGRATING:
+    if command in _KERNEL_COMMANDS:
         manifest["kernel"] = kernel_status()
     manifest.update(run.notes)
     export.write_json(run.path("manifest.json"), manifest)

@@ -136,10 +136,11 @@ def slowman_rows(rows):
 def nullcline_rows(p, q_grid):
     """Nullcline branches over a grid of current-value coordinates; the
     branch column indexes the companion solutions in increasing order."""
-    from .slowman import nullcline
+    from .slowman import nullcline_grid
 
+    q_grid = [float(q) for q in q_grid]
     rows = []
-    for q in q_grid:
-        for k, y in enumerate(nullcline(p, "q_now", float(q))):
-            rows.append((float(q), y, k))
+    for q, ys in zip(q_grid, nullcline_grid(p, "q_now", q_grid)):
+        for k, y in enumerate(ys):
+            rows.append((q, y, k))
     return rows

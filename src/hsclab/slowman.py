@@ -12,18 +12,26 @@ which the local behaviour changes.
 Every landmark solves h'(Q) = c for a constant c and is taken in closed form
 from model.h_prime_level; the nullcline is solved by brentq on the
 monotone pieces between the turning points that the same function gives.
+
+The grids of a profile and of a nullcline table are solved by the compiled
+kernel (``hsc_manifold_roots`` and ``hsc_nullcline`` of ``_kernel.c``, see
+``_native``), equal bit for bit to the Python here, which stays as the
+fallback of the whole grid where the kernel is not in use and of each point
+that the kernel leaves to it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import ModelParams, h_and_G, h_prime_level, steady_state
-from . import chareq
+from .model import (TABLE1_SPEC, ModelParams, derive_homeostasis, h_and_G,
+                    h_prime_level, steady_state)
+from . import _native, chareq
 
 __all__ = [
     "SingularForm",
@@ -35,6 +43,7 @@ __all__ = [
     "singular_params",
     "critical_manifold_stability_switch",
     "nullcline",
+    "nullcline_grid",
     "slow_manifold_naive",
     "slow_manifold_linearized",
     "slow_manifold_profile",
@@ -111,6 +120,14 @@ def critical_manifold_stability_switch(p: ModelParams) -> float | None:
 
 # brentq's absolute tolerance, negligible so its relative one (4 ulps) governs
 _XTOL = 1e-300
+_RTOL = 4 * sys.float_info.epsilon  # brentq's default, and its least
+# brentq's iteration bound.  Bisection alone shrinks the widest bracket
+# nullcline gives it ([0, DBL_MAX], below 2**1024) to the tolerance
+# (xtol/2, above 2**-998) in 2022 halvings; this bound is twice that, so
+# only a stalled solve stops.  scipy's default of 100 stopped good solves on
+# [0, Q_h] with the root far below Q_h: across 300 ensemble sets and values
+# from 1e-323 to 0.1 the most was 158 iterations.
+_MAXITER = 4044
 
 
 def nullcline(p: ModelParams, given: str, value: float) -> list[float]:
@@ -156,7 +173,7 @@ def nullcline(p: ModelParams, given: str, value: float) -> list[float]:
     roots = [x for x, v in zip(ends, vals) if v == 0.0]
     for a, b, fa, fb in zip(ends, ends[1:], vals, vals[1:]):
         if min(fa, fb) < 0.0 < max(fa, fb):
-            roots.append(brentq(fn, a, b, xtol=_XTOL))
+            roots.append(brentq(fn, a, b, xtol=_XTOL, maxiter=_MAXITER))
     a, fa = ends[-1], vals[-1]
     if fa != 0.0:
         b = max(2.0 * a, p.theta)
@@ -165,8 +182,40 @@ def nullcline(p: ModelParams, given: str, value: float) -> list[float]:
             a, fa, b = b, fb, min(2.0 * b, math.nextafter(math.inf, 0.0))
             fb = fn(b)
         if fb / fa <= 0.0:
-            roots.append(brentq(fn, a, b, xtol=_XTOL))
+            roots.append(brentq(fn, a, b, xtol=_XTOL, maxiter=_MAXITER))
     return sorted(roots)
+
+
+_GIVEN = {"q_now": 0, "q_delayed": 1}  # the given forms as hsc_nullcline takes them
+
+
+def nullcline_grid(p: ModelParams, given: str, values) -> list[list[float]]:
+    """``nullcline(p, given, v)`` for each v of ``values``: from the
+    compiled kernel where it is in use, else, and at each value it leaves
+    to Python, from ``nullcline`` itself; the two agree bit for bit."""
+    values = [float(v) for v in values]
+    lib = _native.kernel()
+    if lib is None or given not in _GIVEN:
+        return [nullcline(p, given, v) for v in values]
+    return _compiled_nullcline(lib, p, given, values)
+
+
+def _compiled_nullcline(lib, p, given, values):
+    """``nullcline_grid`` by ``hsc_nullcline``, each value it leaves to
+    Python solved by ``nullcline``."""
+    turns = np.array(h_prime_level(0.0 if given == "q_now" else -p.kappa, p),
+                     float)
+    ths = p.theta**p.s
+    model = np.array([p.kappa, p.f * ths, ths, p.s, p.amplification,
+                      p.theta, _XTOL, _RTOL])
+    v = np.array(values, float)
+    count = np.empty(v.size, np.int64)
+    roots = np.empty((v.size, 2 * (turns.size + 1)))
+    lib.hsc_nullcline(model.ctypes.data, _GIVEN[given], turns.ctypes.data,
+                      turns.size, v.ctypes.data, v.size, _MAXITER,
+                      count.ctypes.data, roots.ctypes.data)
+    return [row[:k] if k >= 0 else nullcline(p, given, x)
+            for x, k, row in zip(values, count.tolist(), roots.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +293,44 @@ def slow_manifold_linearized(Q_r: float, p: ModelParams,
         raise ValueError("Q_r must be positive")
     if marks is None:
         marks = landmarks(p)
+    _outside_gap(Q_r, marks)
+    return _manifold_point(Q_r, p, marks, *_python_manifold_values(Q_r, p))
+
+
+def _python_manifold_values(Q_r: float, p: ModelParams):
+    """h(Q_r), h'(Q_r) and the real roots of the linearisation there:
+    ``hsc_manifold_roots`` of ``_kernel.c`` in Python."""
+    roots = [r.re for r in chareq.real_roots(chareq.coeffs_at(Q_r, p))]
+    hv = h_and_G(Q_r, p)
+    return hv.h, hv.h_prime, roots
+
+
+def _outside_gap(Q_r: float, marks: CanardLandmarks) -> None:
     q_lo, q_hi = marks.gap
     if q_lo is not None and q_hi is not None and q_lo < Q_r < q_hi:
         raise NoRealRootGap(Q_r, (q_lo, q_hi))
-    c = chareq.coeffs_at(Q_r, p)
-    roots = chareq.real_roots(c)
+
+
+def _manifold_point(Q_r, p, marks, h, h_prime, roots) -> SlowManifoldPoint:
+    """The manifold point at Q_r from h(Q_r), h'(Q_r) and the real roots
+    there (chareq.real_roots), outside the gap."""
+    q_lo, q_hi = marks.gap
     if not roots:
         raise NoRealRootGap(Q_r, (q_lo, q_hi))
     if q_hi is not None and Q_r >= q_hi:
-        lam = min(r.re for r in roots)  # smaller of the two positive roots
+        lam = min(roots)  # smaller of the two positive roots
         regime = "above_Qhp"
     else:
-        lam = max(r.re for r in roots)  # principal-branch root
+        lam = max(roots)  # principal-branch root
         regime = "below_Qf" if Q_r < marks.Q_f else "Qf_to_Qh"
-    hv = h_and_G(Q_r, p)
-    if abs(hv.G_prime) > 1e-12:
-        q_prime = lam * hv.G / hv.G_prime
+    A = p.amplification
+    G = (A - 1.0) * h - p.kappa * Q_r  # model.h_and_G
+    G_prime = (A - 1.0) * h_prime - p.kappa
+    if abs(G_prime) > 1e-12:
+        q_prime = lam * G / G_prime
     else:
         # at the drift maximum both lam and G' vanish; use the limit ratio
-        q_prime = hv.G / (1.0 + c.b * c.tau)
+        q_prime = G / (1.0 + A * h_prime * p.tau)
     q_tau = Q_r - p.tau * q_prime
     return SlowManifoldPoint(Q_r=Q_r, lam=lam, Q_prime=q_prime,
                              Q_tau=q_tau, regime=regime)
@@ -272,18 +340,65 @@ def slow_manifold_profile(p: ModelParams, q_values) -> list[dict]:
     """Rows (Q_r, lambda, Q_prime, Q_tau, regime) over a concentration grid;
     points inside the no-real-root gap become typed gap markers."""
     marks = landmarks(p)
+    qs = [float(q) for q in np.atleast_1d(q_values)]
+    lib = _native.kernel()
+    computed = ([None] * len(qs) if lib is None
+                else _compiled_manifold_values(lib, p, qs))
     rows = []
-    for q in np.atleast_1d(q_values):
+    for q, got in zip(qs, computed):
         try:
-            pt = slow_manifold_linearized(float(q), p, marks)
+            if got is None:
+                pt = slow_manifold_linearized(q, p, marks)
+            else:
+                _outside_gap(q, marks)
+                pt = _manifold_point(q, p, marks, *got)
             rows.append({"Q_r": pt.Q_r, "lambda": pt.lam,
                          "Q_prime": pt.Q_prime, "Q_tau": pt.Q_tau,
                          "regime": pt.regime})
         except NoRealRootGap:
-            rows.append({"Q_r": float(q), "lambda": math.nan,
+            rows.append({"Q_r": q, "lambda": math.nan,
                          "Q_prime": math.nan, "Q_tau": math.nan,
                          "regime": "gap"})
     return rows
+
+
+def _compiled_manifold_values(lib, p, qs):
+    """(h, h', real roots) at each Q_r of qs from ``hsc_manifold_roots``,
+    None where the point is left to the Python port."""
+    ths = p.theta**p.s
+    model = np.array([p.kappa, p.f * ths, ths, p.s, p.amplification, p.tau,
+                      math.e, chareq._INV_E, 2.0, 3.0])
+    q = np.array(qs, float)
+    count = np.empty(q.size, np.int64)
+    out = np.empty((q.size, 4))
+    lib.hsc_manifold_roots(model.ctypes.data, q.ctypes.data, q.size,
+                           out.ctypes.data, count.ctypes.data)
+    return [None if k < 0 else (h, hp, roots[:k])
+            for k, (h, hp, *roots) in zip(count.tolist(), out.tolist())]
+
+
+def _grids_match(lib) -> bool:
+    """True when the compiled nullcline and profile values equal their
+    Python ports bit for bit (``repr`` tells -0.0 apart from 0.0), in both
+    given forms, on the Fig. 10 parameters (every profile regime and the
+    gap) and with a Hill coefficient below 1, at values from 0 to 1e3 that
+    the kernel solves itself."""
+    fig10 = derive_homeostasis(replace(TABLE1_SPEC, gamma=0.2453692))
+    values = [0.0, 1e-30, *np.linspace(0.005, 0.25, 8).tolist(), 1.0, 1e3]
+    for p in (fig10, fig10.with_(s=0.7)):
+        for given in _GIVEN:
+            want = [nullcline(p, given, v) for v in values]
+            if repr(_compiled_nullcline(lib, p, given, values)) != repr(want):
+                return False
+        got = _compiled_manifold_values(lib, p, values[1:])
+        if any(g is not None and repr(g) != repr(_python_manifold_values(q, p))
+               for q, g in zip(values[1:], got)):
+            return False
+    return True
+
+
+_native.load_check(_grids_match, "slow-manifold grids differ from the Python "
+                                 "ports")
 
 
 def linearized_solution(Q_r: float, p: ModelParams, modes=()) :

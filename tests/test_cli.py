@@ -369,6 +369,15 @@ class TestNumericalEdges:
 
 
 class TestRootsCommand:
+    def test_root_cap_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        cap = chareq.real_part_cap
+        monkeypatch.setattr(chareq, "real_part_cap",
+                            lambda c: calls.append(c) or cap(c))
+        cfg = dict(TABLE1_CFG, roots={"re_min": -1.5, "im_max": 6.0})
+        assert run_cli(tmp_path, "roots", cfg, "--out", "r") == 0
+        assert len(calls) == 1
+
     def test_schema_and_residuals(self, tmp_path):
         cfg = dict(TABLE1_CFG, roots={"re_min": -1.5, "im_max": 6.0})
         assert run_cli(tmp_path, "roots", cfg, "--out", "r") == 0
@@ -587,6 +596,34 @@ class TestSlowmanCommand:
         rows = (tmp_path / "sm_nullcline.csv").read_text().splitlines()[1:]
         assert len(rows) == 100
         assert [r.split(",")[2] for r in rows] == ["0", "1"] * 50
+
+    def test_tiny_q_min_converges(self, tmp_path):
+        # the nullcline at 1e-160 stopped after brentq's default 100
+        # iterations on [0, Q_h] and exited 3
+        cfg = {"params": {"kappa": 3.7652, "gamma": 0.024455, "tau": 4.3346,
+                          "theta": 0.32803, "f": 12.524, "s": 2.3776},
+               "slowman": {"q_min": 1e-160, "n": 10, "nullcline_n": 10}}
+        assert run_cli(tmp_path, "slowman", cfg, "--out", "sm") == 0
+
+    def test_manifest_records_the_kernel_and_data_do_not(self, tmp_path,
+                                                        monkeypatch):
+        cfg = {"homeostasis": TABLE1_CFG["homeostasis"],
+               "set_params": {"gamma": 0.2453692},
+               "slowman": {"q_min": 0.005, "q_max": 0.25}}
+        status = integrator.kernel_status()
+        assert run_cli(tmp_path, "slowman", cfg, "--out", "a") == 0
+        monkeypatch.setattr(_native.status, "lib", None)
+        monkeypatch.setattr(_native.status, "why", "no compiler: cc not found")
+        assert run_cli(tmp_path, "slowman", cfg, "--out", "b") == 0
+
+        def manifest(prefix):
+            return json.loads((tmp_path / f"{prefix}_manifest.json").read_text())
+
+        assert manifest("a")["kernel"] == status
+        assert manifest("b")["kernel"] == {"python": "no compiler: cc not found"}
+        for name in ("slowman.csv", "nullcline.csv", "landmarks.json"):
+            assert (tmp_path / f"a_{name}").read_bytes() == \
+                (tmp_path / f"b_{name}").read_bytes()
 
 
 class TestPresets:

@@ -761,6 +761,20 @@ class TestKernelBuild:
                               _native._SOURCE.read_text(), re.MULTILINE)
         assert sorted(exported) == sorted(_native._PROTOTYPES)
 
+    def test_pow_exponents_are_data(self):
+        # gcc -O2 folds pow(x, 2.0) into x*x, pow(x, -1.0) into 1/x and
+        # pow(x, 1.0) into x, which are not always the correctly rounded pow
+        # that Python's ** calls; so every exponent is passed as data.  The
+        # step control's err**-0.2 is the one literal: gcc calls pow for it,
+        # and TestKernelAgainstPythonLoop holds its steps bit for bit
+        code = re.sub(r"/\*.*?\*/", "", _native._SOURCE.read_text(),
+                      flags=re.DOTALL)
+        literal = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+        exponents = [arg.strip() for arg in re.findall(
+            r"\bpow\s*\([^,()]*(?:\([^()]*\))?[^,()]*,([^()]*)\)", code)]
+        assert len(exponents) == len(re.findall(r"\bpow\s*\(", code))
+        assert [e for e in exponents if literal.fullmatch(e)] == ["-0.2"] * 2
+
     def test_source_compiles_warning_free(self, tmp_path):
         if shutil.which(_native._CC) is None:
             pytest.skip(f"no {_native._CC} on PATH")

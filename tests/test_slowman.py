@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 
 from scipy.optimize import brentq
 
-from hsclab import chareq, slowman
+import hsclab
+from hsclab import _native, chareq, export, slowman
 from hsclab.model import (ModelParams, h_and_G, h_prime_level, rhs,
                           steady_state)
 from conftest import assert_printed, random_valid_params
@@ -461,3 +464,188 @@ class TestLinearizedSolution:
         with pytest.raises(ValueError, match="characteristic"):
             slowman.linearized_solution(0.05, canard_params,
                                         modes=[(1.0 + 2.0j, 0.1, 0.0)])
+
+
+# ---------------------------------------------------------------------------
+# The compiled grids (hsc_nullcline, hsc_manifold_roots) against the Python
+# ports they replace, which stay as fallback and oracle
+
+# an ensemble set on which brentq's default 100 iterations stopped the solve
+# on [0, Q_h] at the value 1e-160
+FAR_BELOW_QH = ModelParams(kappa=3.7652, gamma=0.024455, tau=4.3346,
+                           theta=0.32803, f=12.524, s=2.3776)
+
+
+@pytest.fixture
+def kernel():
+    lib = _native.kernel()
+    if lib is None:
+        pytest.skip("the compiled kernel cannot be built here")
+    return lib
+
+
+def extreme_values(rng, p):
+    """0, the subnormals, 1e-323 to 1e300 on a log scale, the largest double,
+    and a uniform grid over the slow-manifold range."""
+    return sorted({0.0, 5e-324, sys.float_info.max,
+                   *(10.0 ** rng.uniform(-323.0, 300.0, 14)).tolist(),
+                   *rng.uniform(0.0, 3.0 * p.theta, 14).tolist()})
+
+
+def left_to_python(monkeypatch, name):
+    """Record the values that the compiled grid hands to ``slowman.<name>``."""
+    port, seen = getattr(slowman, name), []
+
+    def recorded(*args):
+        seen.append(args)
+        return port(*args)
+
+    monkeypatch.setattr(slowman, name, recorded)
+    return port, seen
+
+
+class TestCompiledGrids:
+    def test_nullcline_equals_python_port(self, kernel, canard_params,
+                                          monkeypatch):
+        rng = np.random.default_rng(31)
+        port, seen = left_to_python(monkeypatch, "nullcline")
+        for p in [canard_params, FAR_BELOW_QH, *ensemble(300, seed=32)]:
+            values = extreme_values(rng, p)
+            for given in ("q_now", "q_delayed"):
+                got = slowman._compiled_nullcline(kernel, p, given, values)
+                assert repr(got) == repr([port(p, given, v) for v in values])
+            # Python takes only values whose companions leave the square
+            # range, none of the slow-manifold range
+            assert not [v for q, _, v in seen
+                        if q is p and 1e-3 * p.theta <= v <= 3.0 * p.theta]
+        assert seen
+
+    def test_manifold_values_equal_python_port(self, kernel, canard_params):
+        rng = np.random.default_rng(33)
+        n = solved = 0
+        for p in [canard_params, *ensemble(300, seed=34)]:
+            qs = extreme_values(rng, p)[1:]
+            got = slowman._compiled_manifold_values(kernel, p, qs)
+            for q, g in zip(qs, got):
+                n += 1
+                if g is not None:
+                    solved += 1
+                    assert repr(g) == repr(slowman._python_manifold_values(q, p))
+        assert solved > 0.75 * n
+
+    def test_same_bytes_without_the_kernel(self, kernel, canard_params,
+                                           monkeypatch, tmp_path):
+        sets = [canard_params, *ensemble(40, seed=35)]
+        q = np.linspace(0.005, 0.25, 200)
+
+        def files(prefix):
+            for i, p in enumerate(sets):
+                grid = q * p.theta / canard_params.theta
+                try:
+                    rows = slowman.slow_manifold_profile(p, grid)
+                except slowman.RegimeError:  # no steady state: no landmarks
+                    rows = []
+                export.write_csv(tmp_path / f"{prefix}{i}_slowman.csv",
+                                 export.SLOWMAN_HEADER, export.slowman_rows(rows))
+                export.write_csv(tmp_path / f"{prefix}{i}_nullcline.csv",
+                                 export.NULLCLINE_HEADER,
+                                 export.nullcline_rows(p, grid))
+            return [f.read_bytes() for f in sorted(tmp_path.glob(prefix + "*"))]
+
+        compiled = files("a")
+        monkeypatch.setattr(_native.status, "lib", None)
+        assert files("b") == compiled
+
+    def test_points_left_to_python(self, kernel, table1, canard_params,
+                                   monkeypatch):
+        # beyond the square range q**s overflows, and Python takes h in its
+        # far form: a far companion of a tiny value, a Q_r of 1e200
+        port, seen = left_to_python(monkeypatch, "nullcline")
+        got = slowman.nullcline_grid(table1, "q_now", [1e-300, 1.0])
+        assert got == [port(table1, "q_now", 1e-300), port(table1, "q_now", 1.0)]
+        assert seen == [(table1, "q_now", 1e-300)]
+        with pytest.raises(ValueError, match="nonnegative"):
+            slowman.nullcline_grid(table1, "q_now", [1.0, -1.0])
+        with pytest.raises(ValueError, match="given"):
+            slowman.nullcline_grid(table1, "q_then", [1.0])
+
+        p = canard_params
+        port, seen = left_to_python(monkeypatch, "slow_manifold_linearized")
+        rows = slowman.slow_manifold_profile(p, [0.05, 1e200])
+        marks = slowman.landmarks(p)
+        assert rows[1]["Q_tau"] == port(1e200, p, marks).Q_tau
+        assert [q for q, *_ in seen] == [1e200]
+        with pytest.raises(ValueError, match="positive"):
+            slowman.slow_manifold_profile(p, [0.05, -1.0])
+        assert slowman.slow_manifold_profile(p, [math.nan])[0]["regime"] == "gap"
+
+    def test_tiny_values_converge_in_both_ports(self):
+        # a root far below Q_h took brentq more than its default 100
+        # iterations on [0, Q_h] (at most 158 over 300 ensemble sets)
+        rng = np.random.default_rng(36)
+        lib = _native.kernel()
+        for p in [FAR_BELOW_QH, *ensemble(30, seed=37)]:
+            values = [1e-160, *(10.0 ** rng.uniform(-300.0, -1.0, 30)).tolist()]
+            for given in ("q_now", "q_delayed"):
+                want = [slowman.nullcline(p, given, v) for v in values]
+                assert all(want)
+                if lib is not None:
+                    got = slowman._compiled_nullcline(lib, p, given, values)
+                    assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("port", ["nullcline", "_python_manifold_values"])
+    def test_failing_check_falls_back_to_the_python_ports(
+            self, kernel, canard_params, monkeypatch, port):
+        real = getattr(slowman, port)
+
+        def shifted(*args):  # the port moved by one ulp
+            got = real(*args)
+            if port == "nullcline":
+                return [math.nextafter(y, math.inf) for y in got]
+            return (math.nextafter(got[0], math.inf), *got[1:])
+
+        monkeypatch.setattr(slowman, port, shifted)
+        monkeypatch.setattr(_native.status, "why", "")
+        assert _native._load() is None
+        assert _native.status.why == ("failed load-time check: slow-manifold "
+                                      "grids differ from the Python ports")
+        monkeypatch.setattr(_native.status, "lib", None)
+        p, q = canard_params, np.linspace(0.005, 0.25, 40).tolist()
+        assert slowman.nullcline_grid(p, "q_now", q) == \
+            [slowman.nullcline(p, "q_now", v) for v in q]
+        marks = slowman.landmarks(p)
+        want = []
+        for v in q:
+            try:
+                want.append(slowman.slow_manifold_linearized(v, p, marks).Q_tau)
+            except slowman.NoRealRootGap:
+                want.append(math.nan)
+        got = [r["Q_tau"] for r in slowman.slow_manifold_profile(p, q)]
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_check_runs_when_slowman_is_imported_after_the_load(self, kernel,
+                                                                shift):
+        # integrate loads the kernel before slowman registers its check
+        script = f"""
+import math, sys
+import scipy.optimize
+from hsclab import _native
+from hsclab.integrator import History, integrate
+from hsclab.model import table1_params
+p = table1_params()
+integrate(p, History.constant(p.tau, 1.0), 5.0)
+assert _native.status.lib is not None and "hsclab.slowman" not in sys.modules
+if {shift}:  # the Python nullcline moved by one ulp
+    brentq = scipy.optimize.brentq
+    scipy.optimize.brentq = lambda *a, **k: math.nextafter(brentq(*a, **k), 1.0)
+import hsclab.slowman
+print(_native.kernel_status())
+"""
+        src = os.path.dirname(os.path.dirname(hsclab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == ("{'python': 'failed load-time check: "
+                               "slow-manifold grids differ from the Python "
+                               "ports'}" if shift else "compiled")
