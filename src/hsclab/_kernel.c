@@ -129,7 +129,7 @@ static int grow(run_t *r)
 
 void hsc_free(void *p) { free(p); }
 
-/* History.at at n times, for the load-time check against numpy and scipy */
+/* history_at at n times, for the load-time check against History.at */
 void hsc_history_at(const double *cosine, const double *x, const double *c, long nx,
                     const double *t, long n, double *out)
 {

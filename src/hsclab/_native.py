@@ -47,7 +47,9 @@ _checks = []  # (check, what differs when it fails), in the order run
 def load_check(check, what: str):
     """Run ``check(lib) -> bool`` on each load, and now where the library is
     loaded already; where it returns False, the library is not used, because
-    ``what``."""
+    ``what``.  A check given before is not run again."""
+    if (check, what) in _checks:
+        return
     _checks.append((check, what))
     if status.lib not in (_UNTRIED, None) and not check(status.lib):
         status.lib, status.why = None, "failed load-time check: " + what

@@ -27,11 +27,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import lambertw
 
-from .model import (ModelParams, h_and_G, h_prime_level, steady_state,
-                    existence_bounds)
+from .model import (ModelParams, _hill_far, h_and_G, h_prime_level,
+                    steady_state, existence_bounds)
 
 __all__ = [
     "LinearizationCoeffs",
@@ -283,6 +281,8 @@ def _upper_roots(c: LinearizationCoeffs, k_max: int):
     complex only when x < -1/e; the other branches hold the real roots and
     the conjugates.
     """
+    from scipy.special import lambertw
+
     arg = -c.a * c.tau + math.log(abs(c.b) * c.tau)  # log|x|
     for k in range(0 if c.b < 0.0 and arg > -1.0 else 1, k_max + 1):
         if abs(arg) < 700.0:
@@ -537,25 +537,57 @@ def _tau1_gap(p: ModelParams, tau: float) -> float:
 def _tau1_gap_grid(p: ModelParams, taus: np.ndarray) -> np.ndarray:
     """_tau1_gap at every delay of ``taus`` in one numpy pass.
 
-    The same formulas on arrays: A(tau), Q*(tau), h'(Q*) through the array
-    path of h_and_G, a, b and the wedge test.  numpy's exp, log, power and
-    arccos round differently from the math module's, so the values are
-    close to the scalar ones, not equal: within about 1e-13*tau where the
-    gap is small, and 4e-10 relative where tau1 grows without bound at the
-    wedge edge b = a (Table 1 and 400 ensemble sets).
+    The same formulas on arrays: A(tau), Q*(tau), h'(Q*), a, b and the
+    wedge test, with h' alone in the operations and order of h_and_G's
+    array path (model._hill, and model._hill_far where (theta^s + Q*^s)^2
+    overflows).  Each step writes into one of four buffers of the grid's
+    size, made once per call.  numpy's exp, log, power and arccos round
+    differently from the math module's, so the values are close to the
+    scalar ones, not equal: within about 1e-13*tau where the gap is small,
+    and 4e-10 relative where tau1 grows without bound at the wedge edge
+    b = a (Table 1 and 400 ensemble sets).
     """
+    A, u, v, w = (np.empty_like(taus, dtype=float) for _ in range(4))
+    ths = p.theta**p.s
     with np.errstate(all="ignore"):
-        A = 2.0 * np.exp(-p.gamma * taus)
-        radicand = p.f * (A - 1.0) / p.kappa - 1.0
-        qstar = np.where(radicand > 0.0,
-                         p.theta * np.exp(np.log(radicand) / p.s), np.nan)
-        hp = h_and_G(qstar, p).h_prime
-        a = -p.kappa - hp
-        b = A * hp
-        wedge = (b < 0.0) & (b < a) & (-b > np.abs(a))
-        return np.where(wedge,
-                        taus - np.arccos(-a / b) / np.sqrt(b * b - a * a),
-                        np.nan)
+        np.multiply(-p.gamma, taus, out=u)
+        np.exp(u, out=A)
+        A *= 2.0
+        np.subtract(A, 1.0, out=u)
+        u *= p.f
+        u /= p.kappa
+        u -= 1.0  # the radicand f*(A - 1)/kappa - 1
+        np.log(u, out=v)
+        v /= p.s
+        np.exp(v, out=w)
+        w *= p.theta
+        w[~(u > 0.0)] = np.nan  # Q*
+        np.power(w, p.s, out=u)
+        np.add(u, ths, out=v)
+        np.square(v, out=v)  # (theta^s + Q*^s)^2
+        u *= 1.0 - p.s
+        u += ths
+        u *= p.f * ths
+        u /= v  # h'(Q*)
+        far = np.isinf(v)
+        if far.any():
+            u[far] = _hill_far(w[far], p)[1]
+        np.subtract(-p.kappa, u, out=v)  # a
+        A *= u  # b
+        np.negative(A, out=u)
+        np.abs(v, out=w)
+        wedge = u > w  # -b > |a|, so b < 0 and b < a as well
+        np.negative(v, out=w)
+        w /= A
+        np.arccos(w, out=w)
+        np.multiply(A, A, out=u)
+        v *= v
+        u -= v
+        np.sqrt(u, out=u)
+        w /= u
+        np.subtract(taus, w, out=w)
+        w[~wedge] = np.nan
+    return w
 
 
 def _bracket_candidates(taus: np.ndarray, gaps: np.ndarray) -> np.ndarray:
@@ -584,6 +616,8 @@ def _sign_crossings(fn, grid: np.ndarray, pairs: np.ndarray) -> list[float]:
     pairs share it), and a sign change is refined by brentq on fn.  The
     grid may run either way.
     """
+    from scipy.optimize import brentq
+
     ends = np.union1d(pairs, pairs + 1)
     vals = np.full_like(grid, np.nan)
     vals[ends] = [fn(x) for x in grid[ends]]

@@ -36,7 +36,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 from . import _native
 from ._native import kernel_status
@@ -110,11 +109,21 @@ class History:
         return float(out) if t.ndim == 0 else np.asarray(out, dtype=float)
 
     def at(self, t):
-        """Values at times already known to lie in [-tau, 0] (unchecked)."""
+        """Values at times already known to lie in [-tau, 0] (unchecked).
+
+        The spline is read as scipy's PPoly reads it, and as ``_kernel.c``'s
+        history_at does: on piece ``searchsorted(x, t, "right") - 1``
+        clipped to the n pieces (the count of inner breaks at or below t),
+        its terms summed from the constant up."""
+        t = np.asarray(t, float)
         if self.x is None:
-            return self.base * (1.0 + self.amplitude
-                                * np.cos(self.w * np.asarray(t, float)))
-        return np.maximum(PPoly.construct_fast(self.c, self.x)(t), 0.0)
+            return self.base * (1.0 + self.amplitude * np.cos(self.w * t))
+        i = np.searchsorted(self.x[1:-1], t, "right")
+        s = t - self.x[i]
+        s2 = s * s
+        c = self.c.take(i, axis=1)
+        return np.maximum(0.0 + c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s),
+                          0.0)
 
     def check_delay(self, tau: float) -> None:
         """Raise ValueError unless this history spans the delay ``tau``."""
@@ -141,6 +150,8 @@ class History:
             raise ValueError("sample mesh must span [-tau, 0]")
         if np.any(values < 0):
             raise ValueError("history values must be nonnegative")
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(ts, values)
         return cls(float(tau), x=spline.x, c=spline.c)
 
@@ -426,9 +437,14 @@ def _reads_match(lib) -> bool:
     on a fixed spline history (its clip active) and a fixed cosine history,
     read one time at a time as the Python loop reads them."""
     tau = 2.8
-    ts = np.linspace(-tau, 0.0, 17)
-    t = np.concatenate([np.linspace(-tau, 0.0, 301), ts, [-tau - 1e-3, 1e-3]])
-    for h in (History.sampled(ts, np.maximum(np.sin(4.0 * ts), 0.0)),
+    spline = History(tau, x=np.array([-2.8, -2.1, -1.4, -0.7, 0.0]),
+                     c=np.array([[0.9, -2.3, 1.7, 0.45],
+                                 [-1.3, 2.6, -0.8, -0.35],
+                                 [0.2, -0.55, 0.75, -0.15],
+                                 [0.4, -0.1, 0.3, 0.05]]))
+    t = np.concatenate([np.linspace(-tau, 0.0, 301), spline.x,
+                        [-tau - 1e-3, 1e-3]])
+    for h in (spline,
               History(tau, base=1.1, amplitude=0.5, w=2.0 * math.pi / tau)):
         cosine, x, c, nx = _history_args(h)
         got = np.empty_like(t)

@@ -27,7 +27,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (TABLE1_SPEC, ModelParams, derive_homeostasis, h_and_G,
                     h_prime_level, steady_state)
@@ -145,6 +144,8 @@ def nullcline(p: ModelParams, given: str, value: float) -> list[float]:
     of the double range, where h is its limit (model.h_and_G).  A solution
     at a turning point is returned once.
     """
+    from scipy.optimize import brentq
+
     if value < 0.0:
         raise ValueError("concentrations are nonnegative")
     A = p.amplification
@@ -194,7 +195,7 @@ def nullcline_grid(p: ModelParams, given: str, values) -> list[list[float]]:
     compiled kernel where it is in use, else, and at each value it leaves
     to Python, from ``nullcline`` itself; the two agree bit for bit."""
     values = [float(v) for v in values]
-    lib = _native.kernel()
+    lib = _kernel()
     if lib is None or given not in _GIVEN:
         return [nullcline(p, given, v) for v in values]
     return _compiled_nullcline(lib, p, given, values)
@@ -289,7 +290,7 @@ def slow_manifold_linearized(Q_r: float, p: ModelParams,
     the gap a NoRealRootGap is raised; plotting code is expected to leave
     the interval empty rather than interpolate across it.
     """
-    if Q_r <= 0.0:
+    if not Q_r > 0.0:
         raise ValueError("Q_r must be positive")
     if marks is None:
         marks = landmarks(p)
@@ -341,7 +342,7 @@ def slow_manifold_profile(p: ModelParams, q_values) -> list[dict]:
     points inside the no-real-root gap become typed gap markers."""
     marks = landmarks(p)
     qs = [float(q) for q in np.atleast_1d(q_values)]
-    lib = _native.kernel()
+    lib = _kernel()
     computed = ([None] * len(qs) if lib is None
                 else _compiled_manifold_values(lib, p, qs))
     rows = []
@@ -382,23 +383,30 @@ def _grids_match(lib) -> bool:
     Python ports bit for bit (``repr`` tells -0.0 apart from 0.0), in both
     given forms, on the Fig. 10 parameters (every profile regime and the
     gap) and with a Hill coefficient below 1, at values from 0 to 1e3 that
-    the kernel solves itself."""
+    the kernel solves itself, and at profile values where glibc's
+    pow(den, 2.0) is not den*den, whose h' a folded square would change."""
     fig10 = derive_homeostasis(replace(TABLE1_SPEC, gamma=0.2453692))
     values = [0.0, 1e-30, *np.linspace(0.005, 0.25, 8).tolist(), 1.0, 1e3]
+    qs = values[1:] + [0.502, 0.677, 0.913, 0.916, 2.716]
     for p in (fig10, fig10.with_(s=0.7)):
         for given in _GIVEN:
             want = [nullcline(p, given, v) for v in values]
             if repr(_compiled_nullcline(lib, p, given, values)) != repr(want):
                 return False
-        got = _compiled_manifold_values(lib, p, values[1:])
+        got = _compiled_manifold_values(lib, p, qs)
         if any(g is not None and repr(g) != repr(_python_manifold_values(q, p))
-               for q, g in zip(values[1:], got)):
+               for q, g in zip(qs, got)):
             return False
     return True
 
 
-_native.load_check(_grids_match, "slow-manifold grids differ from the Python "
-                                 "ports")
+def _kernel():
+    """``_native.kernel()`` for a grid solve.  The grids' load-time check
+    registers here, on the first solve of a process, not on import: a
+    process that solves no grid does not run it."""
+    _native.load_check(_grids_match, "slow-manifold grids differ from the "
+                                     "Python ports")
+    return _native.kernel()
 
 
 def linearized_solution(Q_r: float, p: ModelParams, modes=()) :

@@ -209,6 +209,24 @@ def _coeffs_at_delay(p: ModelParams, tau: float):
     return coeffs_at(qs, pt)
 
 
+def _gap_grid_expression(p: ModelParams, taus: np.ndarray) -> np.ndarray:
+    """Reference: chareq._tau1_gap_grid as plain numpy expressions, each
+    step a new array and h' from h_and_G (the grid before it wrote into
+    buffers)."""
+    with np.errstate(all="ignore"):
+        A = 2.0 * np.exp(-p.gamma * taus)
+        radicand = p.f * (A - 1.0) / p.kappa - 1.0
+        qstar = np.where(radicand > 0.0,
+                         p.theta * np.exp(np.log(radicand) / p.s), np.nan)
+        hp = h_and_G(qstar, p).h_prime
+        a = -p.kappa - hp
+        b = A * hp
+        wedge = (b < 0.0) & (b < a) & (-b > np.abs(a))
+        return np.where(wedge,
+                        taus - np.arccos(-a / b) / np.sqrt(b * b - a * a),
+                        np.nan)
+
+
 def _scalar_critical_delays(p: ModelParams) -> chareq.CriticalDelays:
     """Reference: critical_delays with the scalar gap at every grid point and
     a Python loop over the grid pairs (the scan the numpy grid replaced)."""
@@ -687,6 +705,18 @@ class TestCriticalDelaysScan:
         for p in sets:
             assert critical_delays(p) == _scalar_critical_delays(p), p
         assert critical_delays(p_far).tau1_minus is not None
+
+    def test_grid_equals_its_expression(self, table1):
+        rng = np.random.default_rng(0)
+        p_far = table1.with_(theta=table1.theta * 1e100)  # h' takes _hill_far
+        sets = [table1, p_far, table1.with_(s=1.0), *MISSED_TAU1_PLUS,
+                *(random_valid_params(rng) for _ in range(400))]
+        for p in sets:
+            _, tau_max = existence_bounds(p)
+            grid = np.linspace(tau_max * 1e-9, tau_max * (1.0 - 1e-12),
+                               chareq._TAU_SCAN)
+            got = chareq._tau1_gap_grid(p, grid)
+            assert got.tobytes() == _gap_grid_expression(p, grid).tobytes(), p
 
     def test_known_misses_stay_missed(self):
         for p in MISSED_TAU1_PLUS:

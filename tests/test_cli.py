@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import hsclab
 from hsclab import (_native, chareq, cli, export, integrator, presets,
                     variational)
 from hsclab.cli import main
@@ -755,3 +759,41 @@ class TestGeneratedConfigs:
         err = capsys.readouterr().err
         if code != 0:
             assert json.loads(err)["error"]["type"]
+
+
+class TestScipyImports:
+    def test_scipy_loads_only_where_a_command_calls_it(self, tmp_path):
+        # a fresh process: the import and a simulate run load no scipy
+        # module, and a Lyapunov run loads scipy.linalg for the BLAS and
+        # LAPACK of its interval loop and nothing of scipy it does not call
+        cfg = dict(TABLE1_CFG,
+                   simulate={"t_end": 20.0, "history": {
+                       "kind": "steady_state_perturbation", "amplitude": 0.1,
+                       "mode": "cosine"}},
+                   lyapunov={"m": 2, "horizon": 150.0, "reorth": 1.0,
+                             "transient": 30.0, "bundle_warmup": 20.0})
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        script = """
+import json, sys
+import hsclab.cli as cli
+
+def scipy_modules():
+    print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))
+
+scipy_modules()
+args = ["--config", "cfg.json", "--outdir", "."]
+assert cli.main(["simulate", *args]) == 0
+scipy_modules()
+assert cli.main(["lyapunov", *args]) in (0, 4)
+scipy_modules()
+"""
+        src = os.path.dirname(os.path.dirname(hsclab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             cwd=tmp_path, capture_output=True, text=True,
+                             check=True).stdout.splitlines()
+        on_import, after_simulate, after_lyapunov = map(json.loads, out)
+        assert on_import == [] and after_simulate == []
+        assert "scipy.linalg" in after_lyapunov
+        assert not [m for m in after_lyapunov if m.startswith(
+            ("scipy.optimize", "scipy.interpolate", "scipy.special"))]

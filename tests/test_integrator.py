@@ -99,13 +99,28 @@ class TestHistoryAgainstClosures:
         ts = np.concatenate([[-table1.tau],
                              np.sort(rng.uniform(-table1.tau, 0.0, 40)), [0.0]])
         v = rng.uniform(0.0, 2.0, ts.size)
-        want = np.maximum(CubicSpline(ts, v)(grid), 0.0)
+        spline = CubicSpline(ts, v)
+        want = np.maximum(spline(grid), 0.0)
         assert np.min(want) == 0.0  # the clip at 0 is exercised
         h = History.sampled(ts, v)
         assert np.array_equal(h(grid), want)
         assert np.array_equal(h.at(grid), want)
         for t in grid[::97]:
             assert h.at(float(t)) == want[grid == t][0]
+        # the numpy read gives scipy's PPoly bits, types and shapes: at the
+        # breaks and either side of them, beyond both ends and at nan, for
+        # arrays, Python floats, numpy scalars and 0-d arrays
+        t = np.concatenate([ts, np.nextafter(ts, -np.inf),
+                            np.nextafter(ts, np.inf),
+                            [-table1.tau - 1e-3, 1e-3, np.nan]])
+        args = [t, t.reshape(3, -1), t[:5].tolist(), *t.tolist(), *t,
+                *(np.asarray(x) for x in t.tolist())]
+        for arg in args:
+            got, ref = h.at(arg), np.maximum(spline(arg), 0.0)
+            assert type(got) is type(ref)
+            assert np.shape(got) == np.shape(ref)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+        assert np.isnan(h.at(np.nan)) and h.at(0.0) == want[-1]
 
     def test_constant_mode_is_a_constant(self, table1):
         qs = steady_state(table1).nontrivial

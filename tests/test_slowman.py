@@ -577,7 +577,21 @@ class TestCompiledGrids:
         assert [q for q, *_ in seen] == [1e200]
         with pytest.raises(ValueError, match="positive"):
             slowman.slow_manifold_profile(p, [0.05, -1.0])
-        assert slowman.slow_manifold_profile(p, [math.nan])[0]["regime"] == "gap"
+        with pytest.raises(ValueError, match="positive"):
+            slowman.slow_manifold_profile(p, [math.nan])
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_nan_q_r_is_rejected(self, canard_params, monkeypatch, compiled):
+        # NaN <= 0 is false: a NaN Q_r got through as a gap row
+        if not compiled:
+            monkeypatch.setattr(_native.status, "lib", None)
+        elif _native.kernel() is None:
+            pytest.skip("the compiled kernel cannot be built here")
+        p = canard_params
+        with pytest.raises(ValueError, match="Q_r must be positive"):
+            slowman.slow_manifold_linearized(math.nan, p)
+        with pytest.raises(ValueError, match="Q_r must be positive"):
+            slowman.slow_manifold_profile(p, [0.05, math.nan])
 
     def test_tiny_values_converge_in_both_ports(self):
         # a root far below Q_h took brentq more than its default 100
@@ -596,6 +610,7 @@ class TestCompiledGrids:
     @pytest.mark.parametrize("port", ["nullcline", "_python_manifold_values"])
     def test_failing_check_falls_back_to_the_python_ports(
             self, kernel, canard_params, monkeypatch, port):
+        slowman.nullcline_grid(canard_params, "q_now", [0.1])  # registers the check
         real = getattr(slowman, port)
 
         def shifted(*args):  # the port moved by one ulp
@@ -640,6 +655,7 @@ if {shift}:  # the Python nullcline moved by one ulp
     brentq = scipy.optimize.brentq
     scipy.optimize.brentq = lambda *a, **k: math.nextafter(brentq(*a, **k), 1.0)
 import hsclab.slowman
+hsclab.slowman.nullcline_grid(p, "q_now", [0.1])  # the first grid solve
 print(_native.kernel_status())
 """
         src = os.path.dirname(os.path.dirname(hsclab.__file__))
