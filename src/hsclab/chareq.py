@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -692,7 +692,7 @@ def hopf_locus_1p(p: ModelParams, vary: str, lo: float, hi: float,
     hi are refined by brentq (_sign_crossings).  Returns (value, omega)
     tuples with omega the crossing frequency.
     """
-    if vary not in ("kappa", "gamma", "tau", "theta", "f", "s"):
+    if vary not in {field.name for field in fields(ModelParams)}:
         raise ValueError(f"unknown parameter {vary!r}")
 
     def rightmost_re(v: float) -> float:

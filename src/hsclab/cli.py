@@ -1,15 +1,16 @@
 """Command-line runner binding the laboratory modules to config files and
 data exports.
 
-One JSON config document drives every command; flags override config keys
-via dotted paths (``--set lyapunov.horizon=30000``).  Each run writes its
-documented CSV/JSON data files plus a run-manifest JSON holding the fully
-resolved configuration and version stamps, and for a command that uses
-the compiled kernel (one that integrates, or ``slowman``), whether the
-kernel or the Python ports ran (for ``lyapunov`` also its interval loop's,
-under ``interval_loop``).  Every
-setting has one row in a table of type, default and range, and each command
-checks its sections against it before computing anything.  Exit codes: 0 success, 2 config
+One JSON config document, from a file (``--config``) or a named preset
+(``run NAME`` or ``--preset NAME``) but never both, drives every command;
+flags override config keys via dotted paths (``--set lyapunov.horizon=1e4``).
+Each run writes its data files and a manifest JSON with the config as read
+plus every ``--set`` (defaults not filled in), the resolved parameters,
+version stamps and, where the compiled kernel can run (an integrating
+command, or ``slowman``), whether it or the Python ports ran (for
+``lyapunov`` also its ``interval_loop``).  Every setting, the model's
+constants included, has one row in a table of type, default and range,
+checked before anything is computed.  Exit codes: 0 success, 2 config
 error, 3 numerical failure, 4 unconverged result (data still written).
 """
 
@@ -23,6 +24,7 @@ import platform
 import sys
 import time
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
@@ -32,8 +34,8 @@ from .analysis import (kaplan_yorke, lyapunov_span, lyapunov_spectrum,
 from .chareq import IncompleteRootCoverageWarning
 from .integrator import (History, detect_events, history_from_trajectory,
                          integrate, kernel_status)
-from .model import (ModelParams, derive_homeostasis, existence_bounds,
-                    params_from_dict, params_to_dict, spec_from_dict,
+from .model import (CalibrationError, HomeostasisSpec, ModelParams,
+                    derive_homeostasis, existence_bounds, params_to_dict,
                     steady_state)
 from .variational import interval_loop
 
@@ -70,7 +72,12 @@ def _one_of(*choices):
     return lambda v: v in choices, f"must be one of {sorted(choices)}"
 
 
-_PARAM_NAMES = ("kappa", "gamma", "tau", "theta", "f", "s")
+def _model_rows(cls, default) -> dict:
+    """One positive number row per field of a model dataclass."""
+    return {field.name: (float, default, _POSITIVE) for field in fields(cls)}
+
+
+_PARAMS = _model_rows(ModelParams, _REQUIRED)
 _HISTORIES = {
     "constant": {"value": (float, _REQUIRED, _NONNEGATIVE)},
     "steady_state_perturbation": {
@@ -78,7 +85,7 @@ _HISTORIES = {
         "mode": (str, "constant", _one_of("constant", "cosine"))},
     "sampled": {"ts": ([float], _REQUIRED),
                 "values": ([float], _REQUIRED)},
-    "carried": {"vary": (str, _REQUIRED, _one_of(*_PARAM_NAMES)),
+    "carried": {"vary": (str, _REQUIRED, _one_of(*_PARAMS)),
                 "value": (float, _REQUIRED, _POSITIVE),
                 "settle": (float, 5000.0, _POSITIVE),
                 "amplitude": (float, 0.05, _ABOVE_MINUS_ONE)},
@@ -113,7 +120,8 @@ _SETTINGS = {
     "roots": {"at": _AT,
               "re_min": (float, lambda p: -5.0 / p.tau),
               "im_max": (float, lambda p: 4.0 * math.pi / p.tau, _POSITIVE)},
-    "hopf": {"vary": (str, _REQUIRED, _one_of("kappa", "gamma", "tau")),
+    # the constants of the paper's one-parameter scans (Figs. 2, 5 and 7)
+    "hopf": {"vary": (str, _REQUIRED, _one_of("gamma", "kappa", "tau")),
              "lo": (float, _REQUIRED, _POSITIVE),
              "hi": (float, _REQUIRED, _POSITIVE),
              "n_scan": (int, 400, _at_least(2))},
@@ -128,7 +136,7 @@ _SETTINGS = {
                  "level": (float, _REQUIRED),
                  "direction": (str, "up", _one_of("up", "down")),
                  "t_start": (float, 0.0, _NONNEGATIVE)},
-    "sweep": {"vary": (str, _REQUIRED, _one_of(*_PARAM_NAMES)),
+    "sweep": {"vary": (str, _REQUIRED, _one_of(*_PARAMS)),
               "direction": (str, "both", _one_of("up", "down", "both")),
               "transient": (float, 50.0, _NONNEGATIVE),
               "record": (float, 6.0, _POSITIVE),
@@ -155,9 +163,9 @@ _SETTINGS = {
                 "n": (int, 200, _at_least(1)),
                 "nullcline_n": (int, 200, _at_least(1))},
 }
-_TOP = {"params": (dict, None),
-        "homeostasis": (dict, None),
-        "set_params": (dict, {}),
+_TOP = {"params": (_PARAMS, None),
+        "homeostasis": (_model_rows(HomeostasisSpec, _REQUIRED), None),
+        "set_params": (_model_rows(ModelParams, None), {}),
         "seed": (int, 0, _NONNEGATIVE),
         # one object per section; "steady" reads none but may be present
         **{name: (dict, None) for name in ("steady", *_SETTINGS)}}
@@ -217,15 +225,15 @@ def resolve_params(cfg: dict) -> ModelParams:
     if (top["params"] is None) == (top["homeostasis"] is None):
         raise ConfigError("params", "exactly one of 'params' or 'homeostasis' "
                                     "must be present")
-    key = "params" if top["params"] is not None else "homeostasis"
-    try:
-        p = (params_from_dict(top[key]) if key == "params"
-             else derive_homeostasis(spec_from_dict(top[key])))
-        if top["set_params"]:
-            p = p.with_(**{k: float(v) for k, v in top["set_params"].items()})
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(key, str(exc)) from exc
-    return p
+    if top["params"] is not None:
+        p = ModelParams(**top["params"])
+    else:
+        try:
+            p = derive_homeostasis(HomeostasisSpec(**top["homeostasis"]))
+        except CalibrationError as exc:
+            raise ConfigError("homeostasis", str(exc)) from exc
+    return p.with_(**{k: v for k, v in top["set_params"].items()
+                      if v is not None})
 
 
 def resolve_history(p: ModelParams, h: dict | None, path: str) -> History:
@@ -435,18 +443,21 @@ def _poincare(s, traj, run):
 
 
 def _sweep_meshes(s):
-    scale, direction = s["mesh_points"], s["direction"]
-    if s["mesh"] == "fig13":
+    scale, direction, mesh = s["mesh_points"], s["direction"], s["mesh"]
+    if mesh is None and scale is not None:
+        raise ConfigError("sweep.mesh_points", "needs a named sweep.mesh")
+    for key in ("start", "stop", "n"):
+        if (s[key] is None) == (mesh is None):
+            raise ConfigError(f"sweep.{key}", "missing required key" if mesh
+                              is None else "not used with a named mesh")
+    if mesh == "fig13":
         up, down = presets.fig13_mesh(30400 if scale is None else scale)
-    elif s["mesh"] == "snaking":
+    elif mesh == "snaking":
         up, down = None, presets.snaking_mesh(2000 if scale is None else scale)
         if direction in ("up", "both"):
             raise ConfigError("sweep.direction",
                               "the snaking mesh is a decreasing scan")
     else:
-        for key in ("start", "stop", "n"):
-            if s[key] is None:
-                raise ConfigError(f"sweep.{key}", "missing required key")
         if s["stop"] <= s["start"]:
             raise ConfigError("sweep.stop", "must exceed sweep.start")
         up = np.linspace(s["start"], s["stop"], s["n"])
@@ -619,10 +630,13 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     for name in _HANDLERS:
         sp = sub.add_parser(name, help=f"run the {name} command")
-        _common_args(sp)
+        sp.add_argument("--config", help="JSON configuration file")
+        sp.add_argument("--preset", help="start from a named preset config")
+        _output_args(sp)
     runp = sub.add_parser("run", help="run a named preset")
     runp.add_argument("preset")
-    _common_args(runp)
+    runp.set_defaults(config=None)
+    _output_args(runp)
     sub.add_parser("presets", help="list the preset catalog as JSON")
     _PARSER = parser
     return parser
@@ -640,26 +654,20 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     try:
-        preset_name = None
-        if args.command == "run":
-            preset = presets.get_preset(args.preset)
-            preset_name = args.preset
-            command = preset["command"]
-            cfg = preset["config"]
+        command, preset_name = args.command, args.preset
+        if args.config and preset_name:
+            raise ConfigError("config", "give --config or a preset, not both")
+        if args.config:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        elif preset_name:
+            preset = presets.get_preset(preset_name)
+            if command not in ("run", preset["command"]):
+                raise ConfigError("preset", f"preset {preset_name!r} is a "
+                                            f"{preset['command']} run")
+            command, cfg = preset["command"], preset["config"]
         else:
-            command = args.command
-            if args.config:
-                with open(args.config) as fh:
-                    cfg = json.load(fh)
-            elif args.preset:
-                preset = presets.get_preset(args.preset)
-                if preset["command"] != command:
-                    raise ConfigError("preset", f"preset {args.preset!r} is a "
-                                                f"{preset['command']} run")
-                preset_name = args.preset
-                cfg = preset["config"]
-            else:
-                raise ConfigError("config", "provide --config or --preset")
+            raise ConfigError("config", "provide --config or --preset")
         cfg = _apply_overrides(_value(cfg, dict, "config", None), args.set or [])
         outdir = args.outdir or os.environ.get("HSCLAB_OUTDIR") or "."
         prefix = settings(cfg, "output", None)["prefix"]
@@ -676,9 +684,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
-def _common_args(sp):
-    sp.add_argument("--config", help="JSON configuration file")
-    sp.add_argument("--preset", help="start from a named preset config")
+def _output_args(sp):
     sp.add_argument("--set", action="append", metavar="PATH=VALUE",
                     help="override a config key (dotted path, JSON value)")
     sp.add_argument("--out", help="output file prefix")

@@ -20,7 +20,7 @@ Units follow the calibration table: concentrations in 1e6 cells/kg, rates in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +52,13 @@ class CalibrationError(ValueError):
     """Raised when a homeostasis specification cannot be calibrated."""
 
 
+def _check_positive(obj, what: str) -> None:
+    """Raise unless each field of a model dataclass is finite and positive."""
+    for name, v in vars(obj).items():  # faster than dataclasses.fields
+        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            raise ValueError(f"{what} {name!r} must be strictly positive, got {v!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The six model constants.
@@ -72,10 +79,7 @@ class ModelParams:
     s: float
 
     def __post_init__(self):
-        for name in ("kappa", "gamma", "tau", "theta", "f", "s"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"parameter {name!r} must be strictly positive, got {v!r}")
+        _check_positive(self, "parameter")
 
     @property
     def amplification(self) -> float:
@@ -102,10 +106,7 @@ class HomeostasisSpec:
     tau: float
 
     def __post_init__(self):
-        for name in ("Q_h", "beta_h", "f", "s", "gamma", "tau"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"spec field {name!r} must be strictly positive, got {v!r}")
+        _check_positive(self, "spec field")
 
 
 @dataclass(frozen=True)
@@ -165,10 +166,12 @@ def derive_homeostasis(spec: HomeostasisSpec) -> ModelParams:
         raise CalibrationError(
             f"amplification A={A} <= 1: no positive steady state can be calibrated"
         )
-    theta = spec.Q_h * math.exp(-math.log(spec.f / spec.beta_h - 1.0) / spec.s)
-    kappa = (A - 1.0) * spec.beta_h
-    return ModelParams(kappa=kappa, gamma=spec.gamma, tau=spec.tau,
-                       theta=theta, f=spec.f, s=spec.s)
+    try:  # far specs can leave theta or kappa at 0 or inf, or overflow
+        theta = spec.Q_h * math.exp(-math.log(spec.f / spec.beta_h - 1.0) / spec.s)
+        return ModelParams(kappa=(A - 1.0) * spec.beta_h, gamma=spec.gamma,
+                           tau=spec.tau, theta=theta, f=spec.f, s=spec.s)
+    except (ValueError, OverflowError) as exc:
+        raise CalibrationError(str(exc)) from None
 
 
 def steady_state(p: ModelParams) -> SteadyStates:
@@ -335,29 +338,24 @@ def rhs(q_now: float, q_delayed: float, p: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 # serialization
 
-_PARAM_KEYS = ("kappa", "gamma", "tau", "theta", "f", "s")
-_SPEC_KEYS = ("Q_h", "beta_h", "f", "s", "gamma", "tau")
-
-
 def params_to_dict(p: ModelParams) -> dict:
-    return {k: getattr(p, k) for k in _PARAM_KEYS}
+    return {field.name: getattr(p, field.name) for field in fields(p)}
+
+
+def _from_dict(cls, d: dict, what: str):
+    names = [field.name for field in fields(cls)]
+    missing = [k for k in names if k not in d]
+    if missing:
+        raise ValueError(f"missing {what} keys: {missing}")
+    extra = [k for k in d if k not in names]
+    if extra:
+        raise ValueError(f"unknown {what} keys: {extra}")
+    return cls(**{k: float(d[k]) for k in names})
 
 
 def params_from_dict(d: dict) -> ModelParams:
-    missing = [k for k in _PARAM_KEYS if k not in d]
-    if missing:
-        raise ValueError(f"missing parameter keys: {missing}")
-    extra = [k for k in d if k not in _PARAM_KEYS]
-    if extra:
-        raise ValueError(f"unknown parameter keys: {extra}")
-    return ModelParams(**{k: float(d[k]) for k in _PARAM_KEYS})
+    return _from_dict(ModelParams, d, "parameter")
 
 
 def spec_from_dict(d: dict) -> HomeostasisSpec:
-    missing = [k for k in _SPEC_KEYS if k not in d]
-    if missing:
-        raise ValueError(f"missing homeostasis keys: {missing}")
-    extra = [k for k in d if k not in _SPEC_KEYS]
-    if extra:
-        raise ValueError(f"unknown homeostasis keys: {extra}")
-    return HomeostasisSpec(**{k: float(d[k]) for k in _SPEC_KEYS})
+    return _from_dict(HomeostasisSpec, d, "homeostasis")

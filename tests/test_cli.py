@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,6 +11,7 @@ import hsclab
 from hsclab import (_native, chareq, cli, export, integrator, presets,
                     variational)
 from hsclab.cli import main
+from hsclab.model import HomeostasisSpec, ModelParams
 from conftest import assert_printed
 
 TABLE1_CFG = {"homeostasis": {"Q_h": 1.1, "beta_h": 0.043, "f": 8.0,
@@ -85,6 +87,35 @@ class TestParserOutput:
                 got = exc.code
             assert got == code
             assert capsys.readouterr() == (out, err)
+
+
+class TestOneConfigSource:
+    """A run's config comes from exactly one of --config or a preset."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--config", "cfg.json"), ("--preset", "fig12-chaos")])
+    def test_run_takes_no_second_source(self, tmp_path, monkeypatch, capsys,
+                                        flag, value):
+        # --preset ran the other preset; --config was ignored
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(TABLE1_CFG))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "fig1-stability-chart", flag, value])
+        assert exc.value.code == 2
+        err = f"hsclab: error: unrecognized arguments: {flag} {value}\n"
+        assert capsys.readouterr() == ("", _USAGE + err)
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_config_and_preset_together(self, tmp_path, capsys):
+        # the config file was read and the preset ignored
+        code = run_cli(tmp_path, "stability", dict(TABLE1_CFG),
+                       "--preset", "fig1-stability-chart")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config"
+        assert err["error"]["key"] == "config"
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 class TestConfigValidation:
@@ -197,6 +228,13 @@ class TestConfigValidation:
         # more directions than the bundle has mesh values exited 3, and only
         # after the whole base integration
         ("lyapunov", {"horizon": 400.0, "m": 200}, "lyapunov.m"),
+        # each of these ran a mesh other than the one its settings describe
+        ("sweep", {"vary": "tau", "start": 1.0, "stop": 2.0, "n": 3,
+                   "mesh_points": 5000}, "sweep.mesh_points"),
+        ("sweep", {"vary": "tau", "mesh": "fig13", "mesh_points": 4,
+                   "start": 1.0, "stop": 2.0, "n": 3}, "sweep.start"),
+        ("sweep", {"vary": "tau", "mesh": "fig13", "mesh_points": 4,
+                   "n": 3}, "sweep.n"),
     ])
     def test_nonpositive_setting_is_config_error(self, tmp_path, capsys,
                                                  refuse_integration, command,
@@ -260,6 +298,36 @@ class TestConfigValidation:
         assert sections
         for section in sections:
             cli.settings(cfg, section, p)
+
+    @pytest.mark.parametrize("cfg, item, key", [
+        # kappa ran as 1.0
+        (TABLE1_CFG, "set_params.kappa=true", "set_params.kappa"),
+        # the string was read as a number
+        ({"params": {"kappa": 0.02, "gamma": 0.1, "tau": 2.8, "theta": 0.08,
+                     "f": 8.0, "s": 2.0}}, 'params.kappa="0.5"', "params.kappa"),
+        # reported under "homeostasis" with a message from ModelParams
+        (TABLE1_CFG, "set_params.bogus=1", "set_params.bogus"),
+    ])
+    def test_model_values_go_through_the_table(self, tmp_path, capsys, cfg,
+                                               item, key):
+        assert run_cli(tmp_path, "steady", dict(cfg), "--set", item) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config"
+        assert err["error"]["key"] == key
+
+    @pytest.mark.parametrize("homeostasis", [
+        {"beta_h": 9.0},  # above f
+        {"f": 1e300, "beta_h": 1e-300},  # theta underflows to 0
+        # theta overflows: exited 3 as numerical
+        {"beta_h": 6.0, "s": 1e-300},
+    ])
+    def test_calibration_failure_is_reported_under_homeostasis(
+            self, tmp_path, capsys, homeostasis):
+        cfg = {"homeostasis": dict(TABLE1_CFG["homeostasis"], **homeostasis)}
+        assert run_cli(tmp_path, "steady", cfg) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config"
+        assert err["error"]["key"] == "homeostasis"
 
     def test_set_override(self, tmp_path):
         code = run_cli(tmp_path, "steady", dict(TABLE1_CFG),
@@ -719,8 +787,12 @@ FUZZ_BASE = {
     "slowman": {"slowman": {"n": 10, "nullcline_n": 10}},
 }
 _SIM_KEYS = ("t_end", "rtol", "atol", "history", "history.kind")
+MODEL_SECTIONS = {"params": ModelParams, "homeostasis": HomeostasisSpec,
+                  "set_params": ModelParams}
 FUZZ_KEYS = {
-    "steady": (),
+    "steady": tuple(f"{section}.{field.name}"
+                    for section, cls in MODEL_SECTIONS.items()
+                    for field in fields(cls)),
     "stability": ("stability.at", "stability.n_c0"),
     "roots": ("roots.at", "roots.re_min", "roots.im_max"),
     "hopf": ("hopf.vary", "hopf.lo", "hopf.hi", "hopf.n_scan"),
@@ -740,8 +812,9 @@ FUZZ_KEYS = {
                 "slowman.nullcline_n"),
 }
 FUZZ_CASES = [(command, key) for command, keys in FUZZ_KEYS.items()
-              for key in keys + ("seed", "set_params.kappa", "output.prefix",
-                                 f"{command}.bogus")]
+              for key in keys + ("seed", "params.kappa", "homeostasis.beta_h",
+                                 "set_params.kappa", "set_params.bogus",
+                                 "output.prefix", f"{command}.bogus")]
 EDGE_VALUES = [0, -1, 0.5, "x", None, [1], {"a": 1}]
 
 
@@ -759,6 +832,20 @@ class TestGeneratedConfigs:
         err = capsys.readouterr().err
         if code != 0:
             assert json.loads(err)["error"]["type"]
+
+
+class TestFuzzCoverage:
+    def test_every_table_row_is_fuzzed(self):
+        # a key added to a table without a FUZZ_KEYS entry would skip the
+        # exit-code and JSON check of TestGeneratedConfigs
+        rows = {f"{section}.{key}" for section, table in cli._SETTINGS.items()
+                for key in table}
+        rows |= {f"{section}.{key}" for section in MODEL_SECTIONS
+                 for key in cli._TOP[section][0]}
+        rows |= {"seed", "output.prefix"}
+        assert {"params.kappa", "homeostasis.beta_h", "set_params.s",
+                "lyapunov.horizon", "sweep.mesh_points"} <= rows
+        assert rows - {key for _, key in FUZZ_CASES} == set()
 
 
 class TestScipyImports:

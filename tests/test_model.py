@@ -93,6 +93,17 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             derive_homeostasis(spec)
 
+    @pytest.mark.parametrize("far, message", [
+        ({"f": 1e300, "beta_h": 1e-300}, "theta"),  # theta underflows to 0
+        ({"beta_h": 6.0, "s": 1e-300}, "range"),  # theta overflows
+    ])
+    def test_far_spec_is_a_calibration_error(self, far, message):
+        # a ValueError from ModelParams and an OverflowError before
+        spec = HomeostasisSpec(**{"Q_h": 1.1, "beta_h": 0.043, "f": 8.0,
+                                  "s": 2.0, "gamma": 0.1, "tau": 2.8, **far})
+        with pytest.raises(CalibrationError, match=message):
+            derive_homeostasis(spec)
+
     def test_calibration_recovers_target_state(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
