@@ -4,19 +4,21 @@ data exports.
 One JSON config document, from a file (``--config``) or a named preset
 (``run NAME`` or ``--preset NAME``) but never both, drives every command;
 flags override config keys via dotted paths (``--set lyapunov.horizon=1e4``).
-Each run writes its data files and a manifest JSON with the config as read
-plus every ``--set`` (defaults not filled in), the resolved parameters,
-version stamps and, where the compiled kernel can run (an integrating
-command, or ``slowman``), whether it or the Python ports ran (for
-``lyapunov`` also its ``interval_loop``).  Every setting, the model's
-constants included, has one row in a table of type, default and range,
-checked before anything is computed.  Exit codes: 0 success, 2 config
-error, 3 numerical failure, 4 unconverged result (data still written).
+Each run writes its data files and a manifest JSON into ``--outdir`` (or
+``$HSCLAB_OUTDIR``), each named by the plain prefix ``--out``.  The manifest
+holds the config as read plus every ``--set`` (defaults not filled in), the
+resolved parameters, version stamps and, where the compiled kernel can run
+(an integrating command, or ``slowman``), whether it or the Python ports ran
+(for ``lyapunov`` also its ``interval_loop``).  Every setting has one row in
+a table of type, default and range; the settings, prefix, directory and
+preset name are checked before anything is computed.  Exit codes: 0 success,
+2 config error, 3 numerical failure, 4 unconverged result (data written).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -114,7 +116,6 @@ _EVENTS = {"extrema": (bool, True),
            "levels": ([(_LEVEL, float)], [])}
 
 _SETTINGS = {
-    "output": {"prefix": (str, None)},
     "stability": {"at": _AT,
                   "n_c0": (int, 257, _at_least(1))},
     "roots": {"at": _AT,
@@ -153,7 +154,7 @@ _SETTINGS = {
                  "transient": (float, 2000.0, _NONNEGATIVE),
                  "bundle_warmup": (float, 200.0, _NONNEGATIVE),
                  "n_mesh": (int, 128, _at_least(4)),
-                 "seed": (int, None, _NONNEGATIVE),  # None: the top-level seed
+                 "seed": (int, 0, _NONNEGATIVE),
                  "zero_tol": (float, 0.0, _NONNEGATIVE),
                  "store_every": (int, 10, _at_least(1)),
                  **_TOLERANCES,
@@ -166,7 +167,6 @@ _SETTINGS = {
 _TOP = {"params": (_PARAMS, None),
         "homeostasis": (_model_rows(HomeostasisSpec, _REQUIRED), None),
         "set_params": (_model_rows(ModelParams, None), {}),
-        "seed": (int, 0, _NONNEGATIVE),
         # one object per section; "steady" reads none but may be present
         **{name: (dict, None) for name in ("steady", *_SETTINGS)}}
 
@@ -269,29 +269,29 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if math.isnan(v):
-            return "nan"
-        return v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+        return v if math.isfinite(v) else repr(v)  # "inf", "-inf" or "nan"
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     return obj
 
 
 class _Run:
-    """Output bookkeeping for one command invocation."""
+    """Output bookkeeping for one command invocation: its files go into
+    ``outdir`` and their names start with ``prefix``, a plain file name."""
 
     def __init__(self, outdir: str, prefix: str):
+        if not prefix or os.path.basename(prefix) != prefix:
+            raise ConfigError("out", "must be a nonempty file name, not a path")
+        if os.path.exists(outdir) and not os.path.isdir(outdir):
+            raise ConfigError("outdir", f"{outdir!r} is not a directory")
         self.outdir = outdir
         self.prefix = prefix
         self.files: list[str] = []
         self.notes: dict = {}  # entries the handler adds to the manifest
 
     def path(self, suffix: str) -> str:
-        os.makedirs(self.outdir, exist_ok=True)
+        if not self.files:  # the first write makes the directory
+            os.makedirs(self.outdir, exist_ok=True)
         self.files.append(f"{self.prefix}_{suffix}")
         return os.path.join(self.outdir, self.files[-1])
 
@@ -484,7 +484,6 @@ def _cmd_lyapunov(cfg, p, run):
     s = settings(cfg, "lyapunov", p)
     if s["m"] > s["n_mesh"] + 1:  # the QR of the bundle keeps n_mesh + 1
         raise ConfigError("lyapunov.m", "must not exceed n_mesh + 1")
-    seed = cfg.get("seed", 0) if s["seed"] is None else s["seed"]
     grid = {"transient": s["transient"], "bundle_warmup": s["bundle_warmup"],
             "n_mesh": s["n_mesh"]}
     try:
@@ -496,7 +495,7 @@ def _cmd_lyapunov(cfg, p, run):
     # integrate the base once so an optional Poincare export can reuse it
     base = integrate(p, hist, span.t_end, rtol=s["rtol"], atol=s["atol"])
     spec = lyapunov_spectrum(p, hist, m=s["m"], horizon=s["horizon"],
-                             reorth=s["reorth"], seed=seed, rtol=s["rtol"],
+                             reorth=s["reorth"], seed=s["seed"], rtol=s["rtol"],
                              atol=s["atol"], base=base, **grid)
     ky = kaplan_yorke(spec.exponents, zero_tol=s["zero_tol"])
     run.notes["interval_loop"] = interval_loop(s["n_mesh"], s["m"])
@@ -570,6 +569,9 @@ def _apply_overrides(cfg: dict, sets: list[str]) -> dict:
             value = raw
         node = cfg
         parts = path.split(".")
+        if "" in parts:
+            raise ConfigError(path, f"part {parts.index('') + 1} of the "
+                                    "--set path is empty")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
@@ -615,15 +617,10 @@ def _execute(command: str, cfg: dict, run: _Run,
     return code
 
 
-_PARSER: argparse.ArgumentParser | None = None
-
-
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every
     later ``main()`` call of the process (parsing does not change it)."""
-    global _PARSER
-    if _PARSER is not None:
-        return _PARSER
     parser = argparse.ArgumentParser(
         prog="hsclab",
         description="Numerical laboratory for the stem-cell delay model")
@@ -638,7 +635,6 @@ def _parser() -> argparse.ArgumentParser:
     runp.set_defaults(config=None)
     _output_args(runp)
     sub.add_parser("presets", help="list the preset catalog as JSON")
-    _PARSER = parser
     return parser
 
 
@@ -655,13 +651,16 @@ def main(argv=None) -> int:
 
     try:
         command, preset_name = args.command, args.preset
-        if args.config and preset_name:
+        if args.config and preset_name is not None:
             raise ConfigError("config", "give --config or a preset, not both")
         if args.config:
             with open(args.config) as fh:
                 cfg = json.load(fh)
-        elif preset_name:
-            preset = presets.get_preset(preset_name)
+        elif preset_name is not None:
+            try:
+                preset = presets.get_preset(preset_name)
+            except KeyError as exc:
+                raise ConfigError("preset", exc.args[0]) from None
             if command not in ("run", preset["command"]):
                 raise ConfigError("preset", f"preset {preset_name!r} is a "
                                             f"{preset['command']} run")
@@ -669,12 +668,10 @@ def main(argv=None) -> int:
         else:
             raise ConfigError("config", "provide --config or --preset")
         cfg = _apply_overrides(_value(cfg, dict, "config", None), args.set or [])
-        outdir = args.outdir or os.environ.get("HSCLAB_OUTDIR") or "."
-        prefix = settings(cfg, "output", None)["prefix"]
-        run = _Run(outdir, args.out or (preset_name or command
-                                        if prefix is None else prefix))
+        run = _Run(args.outdir or os.environ.get("HSCLAB_OUTDIR") or ".",
+                   preset_name or command if args.out is None else args.out)
         return _execute(command, cfg, run, preset_name)
-    except (ConfigError, KeyError, json.JSONDecodeError, UnicodeDecodeError,
+    except (ConfigError, json.JSONDecodeError, UnicodeDecodeError,
             OSError) as exc:
         print(_error_json("config", str(exc), getattr(exc, "key", None)),
               file=sys.stderr)
@@ -687,7 +684,7 @@ def main(argv=None) -> int:
 def _output_args(sp):
     sp.add_argument("--set", action="append", metavar="PATH=VALUE",
                     help="override a config key (dotted path, JSON value)")
-    sp.add_argument("--out", help="output file prefix")
+    sp.add_argument("--out", help="output file name prefix (no directory)")
     sp.add_argument("--outdir", help="output directory "
                                      "(or $HSCLAB_OUTDIR, default '.')")
 

@@ -1,9 +1,10 @@
 """Reproduction presets: named, fully resolved run configurations.
 
 Each preset bundles a command, its configuration, and the reference targets
-the run is expected to reproduce (used by the regression suite and recorded
-in the run manifest).  Meshes documented for the big orbit-diagram scans are
-generated here so reduced-resolution variants stay proportional.
+the run is expected to reproduce, which ``hsclab presets`` lists; a run's
+manifest records the preset's name and config but not its targets.  Meshes
+documented for the big orbit-diagram scans are generated here so
+reduced-resolution variants stay proportional.
 """
 
 from __future__ import annotations
@@ -213,5 +214,5 @@ def catalog() -> dict[str, dict]:
 
 def get_preset(name: str) -> dict:
     if name not in _CATALOG:
-        raise KeyError(f"unknown preset {name!r}; see `hsclab presets`")
+        raise KeyError(f"unknown preset {name!r}; see hsclab presets")
     return copy.deepcopy(_CATALOG[name])

@@ -88,9 +88,7 @@ class PerturbationBundle:
         if m < 1 or n_mesh < 4 or m > n_mesh + 1:
             raise ValueError("need 1 <= m <= n_mesh + 1 and n_mesh >= 4")
         rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((n_mesh + 1, m))
-        q, r = np.linalg.qr(raw)
-        q = q * np.sign(np.where(np.diag(r) == 0, 1.0, np.diag(r)))
+        q = _orthonormal_columns(rng.standard_normal((n_mesh + 1, m)))[0]
         offsets = np.linspace(-tau, 0.0, n_mesh + 1)
         return cls(offsets=offsets, columns=q, t_head=t_head, tau=tau)
 

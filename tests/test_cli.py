@@ -62,7 +62,7 @@ options:
   --config CONFIG   JSON configuration file
   --preset PRESET   start from a named preset config
   --set PATH=VALUE  override a config key (dotted path, JSON value)
-  --out OUT         output file prefix
+  --out OUT         output file name prefix (no directory)
   --outdir OUTDIR   output directory (or $HSCLAB_OUTDIR, default '.')
 """
 
@@ -274,6 +274,67 @@ class TestConfigValidation:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "config"
         assert err["error"]["key"] == "poincare.t_start"
+
+    @pytest.mark.parametrize("item, part", [
+        ("=1", 1), ("..=1", 1), ("stability.=1", 2), ("stability..n_c0=1", 2)])
+    def test_set_path_with_an_empty_part(self, tmp_path, capsys, item, part):
+        # "..=1" reported key "" with the message ": unknown key"
+        path = item.split("=")[0]
+        assert run_cli(tmp_path, "stability", dict(TABLE1_CFG),
+                       "--set", item) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "config" and err["key"] == path
+        assert err["message"] == f"{path}: part {part} of the --set path is empty"
+
+    @pytest.mark.parametrize("argv, env, key", [
+        (["run", "fig1-stability-chart", "--out", "nodir/x"], None, "out"),
+        (["run", "fig12-chaos", "--out", "nodir/x"], None, "out"),
+        (["run", "fig1-stability-chart", "--out", ""], None, "out"),
+        (["run", "fig1-stability-chart", "--out", "{tmp}/abs/x"], None, "out"),
+        (["run", "fig1-stability-chart", "--outdir", "afile"], None, "outdir"),
+        (["run", "fig12-chaos", "--outdir", "afile"], None, "outdir"),
+        (["run", "fig12-chaos"], "afile", "outdir"),
+        (["run", "nope"], None, "preset"),
+        (["lyapunov", "--preset", "nope"], None, "preset"),
+    ], ids=["out-subdir", "out-subdir-lyapunov", "out-empty", "out-absolute",
+            "outdir-file", "outdir-file-lyapunov", "env-outdir-file",
+            "unknown-preset", "unknown-preset-flag"])
+    def test_output_and_preset_refused_before_any_work(
+            self, tmp_path, monkeypatch, capsys, refuse_integration, argv, env,
+            key):
+        # the prefix and directory were found only at the first write, after
+        # the whole run; an unknown preset exited through a KeyError, with
+        # no key and its repr as the message
+        def refuse(cfg):
+            raise AssertionError("resolved the model before the run's "
+                                 "output and preset were checked")
+
+        monkeypatch.setattr(cli, "resolve_params", refuse)
+        monkeypatch.chdir(tmp_path)
+        if env is None:
+            monkeypatch.delenv("HSCLAB_OUTDIR", raising=False)
+        else:
+            monkeypatch.setenv("HSCLAB_OUTDIR", env)
+        (tmp_path / "afile").write_text("")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "config" and err["key"] == key
+        if key == "preset":
+            assert err["message"] == ("preset: unknown preset 'nope'; "
+                                      "see hsclab presets")
+        assert os.listdir(tmp_path) == ["afile"]
+
+    @pytest.mark.parametrize("item, key", [
+        ("seed=0", "seed"), ("output.prefix=x", "output")])
+    def test_removed_top_level_keys_are_unknown(self, tmp_path, capsys,
+                                                refuse_integration, item, key):
+        # the top-level seed was a second knob for lyapunov.seed, and
+        # output.prefix one for --out
+        cfg = dict(TABLE1_CFG, lyapunov={"horizon": 400.0})
+        assert run_cli(tmp_path, "lyapunov", cfg, "--set", item) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "config" and err["key"] == key
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_poincare_n_segment_is_unknown_key(self, tmp_path, capsys,
                                                refuse_integration):
@@ -608,6 +669,28 @@ class TestLyapunovCommand:
             "t_end": 20.0}), "--out", "s") == 0
         assert "interval_loop" not in manifest("s")
 
+    def test_bundle_seed_defaults_to_zero(self, tmp_path):
+        # lyapunov.seed is the bundle's one seed; without it the run is the
+        # one with seed 0, and another seed gives other running exponents.
+        # A top-level seed, its second knob, ran the bundle it named
+        cfg = dict(TABLE1_CFG, lyapunov={"m": 2, "horizon": 100.0,
+                                         "transient": 10.0,
+                                         "bundle_warmup": 0.0, "n_mesh": 16})
+        codes = [run_cli(tmp_path, "lyapunov", cfg, "--out", prefix, *extra)
+                 for prefix, extra in (("a", ()),
+                                       ("b", ("--set", "lyapunov.seed=0")),
+                                       ("c", ("--set", "lyapunov.seed=1")))]
+        assert codes[0] == codes[1] and codes[0] in (0, 4)
+
+        def csv(prefix):
+            return (tmp_path / f"{prefix}_lyapunov.csv").read_bytes()
+
+        assert csv("a") == csv("b")
+        assert csv("a") != csv("c")
+        assert run_cli(tmp_path, "lyapunov", cfg, "--set", "seed=1",
+                       "--out", "d") == 2
+        assert not (tmp_path / "d_lyapunov.csv").exists()
+
 
 class TestLyapunovWithSection:
     def test_poincare_export_reuses_base(self, tmp_path):
@@ -834,6 +917,35 @@ class TestGeneratedConfigs:
             assert json.loads(err)["error"]["type"]
 
 
+# "{tmp}/abs/x" stands for an absolute path, kept inside the test directory
+OUTPUT_EDGES = ["", ".", "a/b", "{tmp}/abs/x", "afile", "nope"]
+
+
+class TestGeneratedOutputArgs:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(out=st.sampled_from([None] + OUTPUT_EDGES),
+           outdir=st.sampled_from([None] + OUTPUT_EDGES),
+           preset=st.sampled_from(["fig1-stability-chart"] + OUTPUT_EDGES))
+    def test_exit_0_or_2_with_json_on_stderr(self, tmp_path, monkeypatch,
+                                             capsys, out, outdir, preset):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("HSCLAB_OUTDIR", raising=False)
+        (tmp_path / "afile").write_text("")
+        argv = ["run", preset.format(tmp=tmp_path)]
+        for flag, value in (("--out", out), ("--outdir", outdir)):
+            if value is not None:
+                argv += [flag, value.format(tmp=tmp_path)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        if code == 2:
+            assert json.loads(err)["error"]["key"] in ("out", "outdir",
+                                                       "preset")
+        else:
+            assert err == ""
+
+
 class TestFuzzCoverage:
     def test_every_table_row_is_fuzzed(self):
         # a key added to a table without a FUZZ_KEYS entry would skip the
@@ -842,7 +954,6 @@ class TestFuzzCoverage:
                 for key in table}
         rows |= {f"{section}.{key}" for section in MODEL_SECTIONS
                  for key in cli._TOP[section][0]}
-        rows |= {"seed", "output.prefix"}
         assert {"params.kappa", "homeostasis.beta_h", "set_params.s",
                 "lyapunov.horizon", "sweep.mesh_points"} <= rows
         assert rows - {key for _, key in FUZZ_CASES} == set()

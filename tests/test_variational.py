@@ -139,6 +139,18 @@ class TestBundle:
         b = PerturbationBundle.seeded(2.8, 4, seed=9)
         assert np.array_equal(a.columns, b.columns)
 
+    @pytest.mark.parametrize("n_mesh, m, seed", [
+        (4, 1, 0), (4, 5, 7), (16, 3, 1), (64, 5, 3), (128, 8, 0),
+        (128, 8, 123456)])
+    def test_seeded_columns_match_their_own_qr(self, n_mesh, m, seed):
+        # the QR and sign fix that seeded wrote out before it shared
+        # _orthonormal_columns, kept here as the oracle
+        raw = np.random.default_rng(seed).standard_normal((n_mesh + 1, m))
+        q, r = np.linalg.qr(raw)
+        want = q * np.sign(np.where(np.diag(r) == 0, 1.0, np.diag(r)))
+        got = PerturbationBundle.seeded(2.8, m, n_mesh=n_mesh, seed=seed)
+        assert got.columns.tobytes() == want.tobytes()
+
     def test_orthonormalize_residual(self, steady_traj):
         b = PerturbationBundle.seeded(2.8, 6, seed=0, t_head=10.0)
         b, _ = integrate_variational(steady_traj, b, (10.0, 30.0))
