@@ -2,8 +2,8 @@
 
 The first call builds it with the system gcc into a cache next to this file,
 keyed by the source and the command, and loads it with ctypes.  The load-time
-checks stay next to the ports they compare, in ``integrator``, ``slowman``
-and ``variational``; this module runs them, those given to ``load_check`` on
+checks stay next to the ports they compare, in ``integrator``, ``slowman``,
+``variational`` and ``export``; this module runs them, those given to ``load_check`` on
 the load (or when given, where the library is loaded already) and a block
 check on the first block of each bundle shape.
 """
@@ -35,6 +35,7 @@ _PROTOTYPES = {
     "hsc_lyapunov_block": (_I, _N, _N, _N, _N) + (_P,) * 10,
     "hsc_nullcline": (None, _P, _I, _P, _N, _P, _N, _N, _P, _P),
     "hsc_manifold_roots": (None, _P, _P, _N, _P, _P),
+    "hsc_csv_body": (_N, _N, _N, _P, _P, _P),
 }
 _UNTRIED = object()
 # what is in use in this process: the checked library (None where it is not
@@ -63,9 +64,9 @@ def kernel():
 
 
 def kernel_status():
-    """What steps adaptive runs, roots events and solves the slow-manifold
-    grids in this process: "compiled", or {"python": why the compiled
-    kernel is not in use}."""
+    """What steps adaptive runs, roots events, solves the slow-manifold
+    grids and writes the bodies of CSV files in this process: "compiled",
+    or {"python": why the compiled kernel is not in use}."""
     return "compiled" if kernel() is not None else {"python": status.why}
 
 

@@ -7,7 +7,7 @@ flags override config keys via dotted paths (``--set lyapunov.horizon=1e4``).
 Each run writes its data files and a manifest JSON into ``--outdir`` (or
 ``$HSCLAB_OUTDIR``), each named by the plain prefix ``--out``.  The manifest
 holds the config as read plus every ``--set`` (defaults not filled in), the
-resolved parameters, version stamps and, where the compiled kernel can run
+resolved parameters, version stamps and, where the compiled kernel computes
 (an integrating command, or ``slowman``), whether it or the Python ports ran
 (for ``lyapunov`` also its ``interval_loop``).  Every setting has one row in
 a table of type, default and range; the settings, prefix, directory and
@@ -282,8 +282,11 @@ class _Run:
     def __init__(self, outdir: str, prefix: str):
         if not prefix or os.path.basename(prefix) != prefix:
             raise ConfigError("out", "must be a nonempty file name, not a path")
-        if os.path.exists(outdir) and not os.path.isdir(outdir):
-            raise ConfigError("outdir", f"{outdir!r} is not a directory")
+        part = outdir  # its deepest existing part must be a directory
+        while part and not os.path.exists(part):
+            part = os.path.dirname(part)
+        if part and not os.path.isdir(part):
+            raise ConfigError("outdir", f"{part!r} is not a directory")
         self.outdir = outdir
         self.prefix = prefix
         self.files: list[str] = []
@@ -650,6 +653,10 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     try:
+        for key in ("config", "out", "outdir"):  # paths the OS cannot open
+            value = getattr(args, key)
+            if value is not None and (not value or "\0" in value):
+                raise ConfigError(key, "must be nonempty, with no NUL byte")
         command, preset_name = args.command, args.preset
         if args.config and preset_name is not None:
             raise ConfigError("config", "give --config or a preset, not both")

@@ -296,15 +296,28 @@ class TestConfigValidation:
         (["run", "fig12-chaos"], "afile", "outdir"),
         (["run", "nope"], None, "preset"),
         (["lyapunov", "--preset", "nope"], None, "preset"),
+        (["run", "fig15-transient-chaos", "--outdir", "afile/sub"], None,
+         "outdir"),
+        (["run", "fig12-chaos"], "afile/sub/deeper", "outdir"),
+        (["run", "fig1-stability-chart", "--out", "a\x00b"], None, "out"),
+        (["run", "fig15-transient-chaos", "--outdir", "a\x00b"], None,
+         "outdir"),
+        (["lyapunov", "--config", "a\x00b"], None, "config"),
+        (["run", "fig15-transient-chaos", "--outdir", ""], None, "outdir"),
+        (["steady", "--config", ""], None, "config"),
     ], ids=["out-subdir", "out-subdir-lyapunov", "out-empty", "out-absolute",
             "outdir-file", "outdir-file-lyapunov", "env-outdir-file",
-            "unknown-preset", "unknown-preset-flag"])
+            "unknown-preset", "unknown-preset-flag", "outdir-below-file",
+            "env-outdir-below-file", "out-nul", "outdir-nul", "config-nul",
+            "outdir-empty", "config-empty"])
     def test_output_and_preset_refused_before_any_work(
             self, tmp_path, monkeypatch, capsys, refuse_integration, argv, env,
             key):
         # the prefix and directory were found only at the first write, after
         # the whole run; an unknown preset exited through a KeyError, with
-        # no key and its repr as the message
+        # no key and its repr as the message; a NUL byte exited 3 as a
+        # numerical error, and an empty --outdir or --config counted as
+        # absent
         def refuse(cfg):
             raise AssertionError("resolved the model before the run's "
                                  "output and preset were checked")
@@ -322,6 +335,8 @@ class TestConfigValidation:
         if key == "preset":
             assert err["message"] == ("preset: unknown preset 'nope'; "
                                       "see hsclab presets")
+        if "" in argv or "a\x00b" in argv:
+            assert err["message"] == f"{key}: must be nonempty, with no NUL byte"
         assert os.listdir(tmp_path) == ["afile"]
 
     @pytest.mark.parametrize("item, key", [
@@ -918,7 +933,8 @@ class TestGeneratedConfigs:
 
 
 # "{tmp}/abs/x" stands for an absolute path, kept inside the test directory
-OUTPUT_EDGES = ["", ".", "a/b", "{tmp}/abs/x", "afile", "nope"]
+OUTPUT_EDGES = ["", ".", "a/b", "{tmp}/abs/x", "afile", "nope", "a\x00b",
+                "afile/sub", "{tmp}/afile/sub"]
 
 
 class TestGeneratedOutputArgs:
